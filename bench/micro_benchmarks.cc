@@ -14,6 +14,7 @@
 #include "engine/engine.h"
 #include "flighting/flighting.h"
 #include "runtime/runtime.h"
+#include "scope/compiler.h"
 #include "telemetry/workload_view.h"
 #include "workload/workload.h"
 
@@ -37,8 +38,8 @@ void BM_CompileDefaultConfig(benchmark::State& state) {
   engine::ScopeEngine engine;
   size_t i = 0;
   for (auto _ : state) {
-    auto out =
-        engine.Compile(Jobs()[i % Jobs().size()], opt::RuleConfig::Default());
+    auto out = engine.CompileShared(Jobs()[i % Jobs().size()],
+                                    opt::RuleConfig::Default());
     benchmark::DoNotOptimize(out);
     ++i;
   }
@@ -51,7 +52,7 @@ void BM_CompileWithFlip(benchmark::State& state) {
       opt::RuleConfig::DefaultWithFlip(opt::rules::kEagerAggregationLeft);
   size_t i = 0;
   for (auto _ : state) {
-    auto out = engine.Compile(Jobs()[i % Jobs().size()], config);
+    auto out = engine.CompileShared(Jobs()[i % Jobs().size()], config);
     benchmark::DoNotOptimize(out);
     ++i;
   }
@@ -60,48 +61,36 @@ BENCHMARK(BM_CompileWithFlip);
 
 void BM_ExecuteSimulation(benchmark::State& state) {
   engine::ScopeEngine engine;
-  auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(Jobs()[0], opt::RuleConfig::Default());
   uint64_t salt = 0;
   for (auto _ : state) {
-    auto m = engine.Execute(Jobs()[0], compiled->plan, salt++);
+    auto m = engine.Execute(Jobs()[0], **compiled, salt++);
     benchmark::DoNotOptimize(m);
   }
 }
 BENCHMARK(BM_ExecuteSimulation);
 
 // --- Prepared execution profiles (src/exec/): the A/A amortization story.
-// Unprepared re-derives the stage decomposition per run; prepared pays it
-// once in Prepare and keeps only the stochastic draws per run.
+// Prepare pays the stage decomposition once; each run keeps only the
+// stochastic draws.
 
 void BM_PrepareProfile(benchmark::State& state) {
   engine::ScopeEngine engine;
-  auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(Jobs()[0], opt::RuleConfig::Default());
   exec::ClusterSimulator sim;
   for (auto _ : state) {
-    auto profile = sim.Prepare(compiled->plan, Jobs()[0].catalog);
+    auto profile = sim.Prepare((*compiled)->plan, Jobs()[0].catalog);
     benchmark::DoNotOptimize(profile);
   }
 }
 BENCHMARK(BM_PrepareProfile);
 
-void BM_ExecuteUnprepared(benchmark::State& state) {
-  engine::ScopeEngine engine;
-  auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
-  exec::ClusterSimulator sim;
-  uint64_t seed = 0;
-  for (auto _ : state) {
-    auto m = sim.Execute(compiled->plan, Jobs()[0].catalog, seed++);
-    benchmark::DoNotOptimize(m);
-  }
-}
-BENCHMARK(BM_ExecuteUnprepared);
-
 void BM_ExecutePrepared(benchmark::State& state) {
   engine::ScopeEngine engine;
-  auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(Jobs()[0], opt::RuleConfig::Default());
   exec::ClusterSimulator sim;
   exec::ExecutionProfile profile =
-      sim.Prepare(compiled->plan, Jobs()[0].catalog);
+      sim.Prepare((*compiled)->plan, Jobs()[0].catalog);
   uint64_t seed = 0;
   for (auto _ : state) {
     auto m = sim.Execute(profile, seed++);
@@ -172,17 +161,17 @@ void BM_OptimizeCrossConfigMemoHit(benchmark::State& state) {
   // tier serves the stored output without an optimizer run.
   cache::CompileCacheOptions cache_options;
   cache_options.compilation_capacity = 16;
-  engine::ScopeEngine engine({}, {}, cache_options, {},
-                             opt::CrossConfigMemoOptions{.enabled = true});
+  engine::ScopeEngine engine({}, {}, cache_options);
   std::vector<opt::RuleConfig> configs;
   for (int rule = 64; rule < 128; ++rule) {
     configs.push_back(opt::RuleConfig::DefaultWithFlip(rule));
   }
   // Warm: the one real optimizer run whose footprint covers every flip.
-  benchmark::DoNotOptimize(engine.Compile(Jobs()[0], opt::RuleConfig::Default()));
+  benchmark::DoNotOptimize(
+      engine.CompileShared(Jobs()[0], opt::RuleConfig::Default()));
   size_t i = 0;
   for (auto _ : state) {
-    auto out = engine.Compile(Jobs()[0], configs[i % configs.size()]);
+    auto out = engine.CompileShared(Jobs()[0], configs[i % configs.size()]);
     benchmark::DoNotOptimize(out);
     ++i;
   }
@@ -202,21 +191,16 @@ void BM_SpanComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanComputation);
 
-// --- Two-level compilation cache (src/cache/): cached vs uncached pairs.
-// The cached variants measure the steady state of the daily pipeline, where
-// every stage after the first compiles each (job, config) from cache.
-
-cache::CompileCacheOptions CacheOptions(bool enabled) {
-  cache::CompileCacheOptions options;
-  options.enabled = enabled;
-  return options;
-}
+// --- Two-level compilation cache (src/cache/). The cached variants measure
+// the steady state of the daily pipeline, where every stage after the first
+// compiles each (job, config) from cache; the uncached front end is the
+// parser itself, which the cache runs once per (script, statistics).
 
 void BM_CompileFrontEndUncached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(false));
   size_t i = 0;
   for (auto _ : state) {
-    auto plan = engine.CompileFrontEnd(Jobs()[i % Jobs().size()]);
+    const workload::JobInstance& job = Jobs()[i % Jobs().size()];
+    auto plan = scope::CompileSource(job.script, job.catalog);
     benchmark::DoNotOptimize(plan);
     ++i;
   }
@@ -224,7 +208,7 @@ void BM_CompileFrontEndUncached(benchmark::State& state) {
 BENCHMARK(BM_CompileFrontEndUncached);
 
 void BM_CompileFrontEndCached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(true));
+  engine::ScopeEngine engine;
   size_t i = 0;
   for (auto _ : state) {
     auto plan = engine.CompileFrontEnd(Jobs()[i % Jobs().size()]);
@@ -234,19 +218,8 @@ void BM_CompileFrontEndCached(benchmark::State& state) {
 }
 BENCHMARK(BM_CompileFrontEndCached);
 
-void BM_SpanFixpointUncached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(false));
-  size_t i = 0;
-  for (auto _ : state) {
-    auto span = advisor::ComputeJobSpan(engine, Jobs()[i % Jobs().size()]);
-    benchmark::DoNotOptimize(span);
-    ++i;
-  }
-}
-BENCHMARK(BM_SpanFixpointUncached);
-
 void BM_SpanFixpointCached(benchmark::State& state) {
-  engine::ScopeEngine engine({}, {}, CacheOptions(true));
+  engine::ScopeEngine engine;
   size_t i = 0;
   for (auto _ : state) {
     auto span = advisor::ComputeJobSpan(engine, Jobs()[i % Jobs().size()]);
@@ -417,10 +390,10 @@ const kernels::KernelTable& TableForArg(int64_t arg) {
 void BM_ExecuteRunsSoA(benchmark::State& state) {
   kernels::SetActiveTableForTest(&TableForArg(state.range(0)));
   engine::ScopeEngine engine;
-  auto compiled = engine.Compile(Jobs()[0], opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(Jobs()[0], opt::RuleConfig::Default());
   exec::ClusterSimulator sim;
   exec::ExecutionProfile profile =
-      sim.Prepare(compiled->plan, Jobs()[0].catalog);
+      sim.Prepare((*compiled)->plan, Jobs()[0].catalog);
   constexpr int kRuns = 64;
   uint64_t seed = 0;
   for (auto _ : state) {

@@ -76,10 +76,10 @@ int main(int argc, char** argv) {
       std::printf("\nbest flip: %s (%+.1f%% est cost)\n",
                   opt::RuleRegistry::Get().name(best.rule_id).c_str(),
                   100.0 * best_delta);
-      auto compiled = engine.Compile(job, best.ToConfig());
+      auto compiled = engine.CompileShared(job, best.ToConfig());
       std::printf("\n--- default plan ---\n%s\n--- steered plan ---\n%s",
                   span->default_compilation->plan.ToString().c_str(),
-                  compiled.ok() ? compiled->plan.ToString().c_str() : "?");
+                  compiled.ok() ? (*compiled)->plan.ToString().c_str() : "?");
     } else {
       std::printf("\nno estimated-cost-improving flip for this job\n");
     }

@@ -1,7 +1,6 @@
 #include "cache/compilation_cache.h"
 
 #include <cstdlib>
-#include <string>
 
 #include "cache/fingerprint.h"
 
@@ -24,10 +23,6 @@ size_t EnvSize(const char* name, size_t fallback) {
 
 CompileCacheOptions CompileCacheOptions::FromEnv() {
   CompileCacheOptions options;
-  const char* enabled = std::getenv("QO_COMPILE_CACHE");
-  if (enabled != nullptr && std::string(enabled) == "0") {
-    options.enabled = false;
-  }
   options.compilation_capacity =
       EnvSize("QO_COMPILE_CACHE_CAPACITY", options.compilation_capacity);
   // One front-end entry serves every config of a job, so a quarter of the
@@ -89,7 +84,6 @@ CompilationPtr CompilationCache::GetOrCompile(
 
 telemetry::CompileCacheTelemetry CompilationCache::Telemetry() const {
   telemetry::CompileCacheTelemetry t;
-  t.enabled = options_.enabled;
   t.front_end = front_end_.Counters();
   t.compilations = compilations_.Counters();
   return t;

@@ -1,4 +1,4 @@
-// The two-level compilation cache behind ScopeEngine::Compile.
+// The two-level compilation cache behind ScopeEngine::CompileShared.
 //
 // Level 1 (front-end memo): rendered script -> parsed + resolved
 // LogicalPlan, keyed by (script hash, catalog-stats fingerprint). The front
@@ -21,11 +21,10 @@
 //
 // Invalidation is by fingerprint: statistics drift or script edits change
 // the key, and stale entries age out of the sharded LRU. Entries are
-// immutable shared_ptr<const ...>, so results are byte-identical with the
-// cache on, off, and at any thread count.
+// immutable shared_ptr<const ...>, so results are byte-identical to a fresh
+// compile (tests compare against one) at any thread count and capacity.
 //
 // Env knobs (read by Options::FromEnv, the ScopeEngine default):
-//   QO_COMPILE_CACHE=0            disable both levels
 //   QO_COMPILE_CACHE_CAPACITY=N   level-2 entry bound (level 1 gets N/4)
 //   QO_COMPILE_CACHE_SHARDS=N     shard count for both levels
 #ifndef QO_CACHE_COMPILATION_CACHE_H_
@@ -101,14 +100,13 @@ using FrontEndPtr = std::shared_ptr<const CachedFrontEnd>;
 using CompilationPtr = std::shared_ptr<const CachedCompilation>;
 
 struct CompileCacheOptions {
-  bool enabled = true;
   /// Level-2 bound (full compilations; the dominant footprint).
   size_t compilation_capacity = 16384;
   /// Level-1 bound (logical plans; one entry serves many configs).
   size_t front_end_capacity = 4096;
   int num_shards = 16;
 
-  /// Reads the QO_COMPILE_CACHE* environment knobs documented above;
+  /// Reads the QO_COMPILE_CACHE_* environment knobs documented above;
   /// unset variables keep the defaults.
   static CompileCacheOptions FromEnv();
 };

@@ -1,7 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -31,29 +29,14 @@ obs::Histogram& ExecuteSpanHist() {
 
 }  // namespace
 
-ExecOptions ExecOptions::FromEnv() {
-  ExecOptions options;
-  const char* prepared = std::getenv("QO_PREPARED_EXEC");
-  if (prepared != nullptr && std::strcmp(prepared, "0") == 0) {
-    options.prepared = false;
-  }
-  return options;
-}
-
 ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
                          exec::ClusterConfig cluster_config,
-                         cache::CompileCacheOptions cache_options,
-                         ExecOptions exec_options,
-                         opt::CrossConfigMemoOptions memo_options)
+                         cache::CompileCacheOptions cache_options)
     : optimizer_options_(optimizer_options),
       simulator_(cluster_config),
-      exec_options_(exec_options),
-      memo_options_(memo_options),
       options_fingerprint_(
-          cache::OptimizerOptionsFingerprint(optimizer_options)) {
-  if (cache_options.enabled) {
-    cache_ = std::make_unique<cache::CompilationCache>(cache_options);
-  }
+          cache::OptimizerOptionsFingerprint(optimizer_options)),
+      cache_(cache_options) {
   // Export the engine's three telemetry surfaces as registry series. The
   // callback only reads counters and writes to the sink — it never calls
   // back into the registry (whose lock is held during Snapshot()).
@@ -76,14 +59,6 @@ cache::FrontEndKey ScopeEngine::FrontEndKeyOf(
   key.catalog_fingerprint =
       job.catalog.StatsFingerprint() ^ options_fingerprint_;
   return key;
-}
-
-Result<opt::CompilationOutput> ScopeEngine::Optimize(
-    const scope::LogicalPlan& logical, const workload::JobInstance& job,
-    const opt::RuleConfig& config) const {
-  QO_OBS_SPAN("optimize");
-  opt::Optimizer optimizer(job.catalog, optimizer_options_);
-  return optimizer.Optimize(logical, config);
 }
 
 Result<std::shared_ptr<const opt::CompilationOutput>>
@@ -147,14 +122,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
 
 Result<std::shared_ptr<const scope::LogicalPlan>> ScopeEngine::CompileFrontEnd(
     const workload::JobInstance& job) const {
-  if (cache_ == nullptr) {
-    QO_OBS_SPAN("parse");
-    QO_ASSIGN_OR_RETURN(scope::LogicalPlan logical,
-                        scope::CompileSource(job.script, job.catalog));
-    return std::shared_ptr<const scope::LogicalPlan>(
-        std::make_shared<scope::LogicalPlan>(std::move(logical)));
-  }
-  cache::FrontEndPtr entry = cache_->GetOrParse(FrontEndKeyOf(job), [&] {
+  cache::FrontEndPtr entry = cache_.GetOrParse(FrontEndKeyOf(job), [&] {
     QO_OBS_SPAN("parse");
     return scope::CompileSource(job.script, job.catalog);
   });
@@ -184,58 +152,24 @@ ScopeEngine::CompileShared(const workload::JobInstance& job,
 Result<std::shared_ptr<const opt::CompilationOutput>>
 ScopeEngine::CompileSharedImpl(const workload::JobInstance& job,
                                const opt::RuleConfig& config) const {
-  if (cache_ == nullptr) {
-    Result<scope::LogicalPlan> logical = [&] {
-      QO_OBS_SPAN("parse");
-      return scope::CompileSource(job.script, job.catalog);
-    }();
-    if (!logical.ok()) return logical.status();
-    QO_ASSIGN_OR_RETURN(opt::CompilationOutput output,
-                        Optimize(*logical, job, config));
-    return std::shared_ptr<const opt::CompilationOutput>(
-        std::make_shared<opt::CompilationOutput>(std::move(output)));
-  }
   cache::CompilationKey key;
   key.front_end = FrontEndKeyOf(job);
   key.config = config.bits();
-  cache::CompilationPtr entry = cache_->GetOrCompile(
+  cache::CompilationPtr entry = cache_.GetOrCompile(
       key, [&]() -> Result<std::shared_ptr<const opt::CompilationOutput>> {
         // Miss handler: level 1 still memoizes the front end, so the other
         // configs of this job skip straight to the optimizer — and the
         // front-end entry's cross-config memo lets configs that only differ
         // in unconsulted rule bits skip the optimizer too.
-        cache::FrontEndPtr fe = cache_->GetOrParse(key.front_end, [&] {
+        cache::FrontEndPtr fe = cache_.GetOrParse(key.front_end, [&] {
           QO_OBS_SPAN("parse");
           return scope::CompileSource(job.script, job.catalog);
         });
         if (!fe->status.ok()) return fe->status;
-        if (!memo_options_.enabled) {
-          QO_ASSIGN_OR_RETURN(opt::CompilationOutput output,
-                              Optimize(fe->plan, job, config));
-          return std::shared_ptr<const opt::CompilationOutput>(
-              std::make_shared<opt::CompilationOutput>(std::move(output)));
-        }
         return OptimizeWithMemo(*fe, job, config);
       });
   if (!entry->status.ok()) return entry->status;
   return entry->output;
-}
-
-Result<opt::CompilationOutput> ScopeEngine::Compile(
-    const workload::JobInstance& job, const opt::RuleConfig& config) const {
-  if (cache_ == nullptr) {
-    // No cache to share with: compile straight into the caller's value,
-    // skipping the shared_ptr wrap + deep copy of the cached path.
-    Result<scope::LogicalPlan> logical = [&] {
-      QO_OBS_SPAN("parse");
-      return scope::CompileSource(job.script, job.catalog);
-    }();
-    if (!logical.ok()) return logical.status();
-    return Optimize(*logical, job, config);
-  }
-  QO_ASSIGN_OR_RETURN(std::shared_ptr<const opt::CompilationOutput> shared,
-                      CompileShared(job, config));
-  return opt::CompilationOutput(*shared);
 }
 
 Result<JobRunResult> ScopeEngine::Run(const workload::JobInstance& job,
@@ -252,12 +186,6 @@ Result<JobRunResult> ScopeEngine::Run(const workload::JobInstance& job,
 uint64_t ScopeEngine::RunSeed(const workload::JobInstance& job,
                               uint64_t run_salt) {
   return job.run_seed ^ (run_salt * 0xbf58476d1ce4e5b9ULL + 1);
-}
-
-exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
-                                      const opt::PhysicalPlan& plan,
-                                      uint64_t run_salt) const {
-  return simulator_.Execute(plan, job.catalog, RunSeed(job, run_salt));
 }
 
 exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
@@ -279,9 +207,6 @@ exec::JobMetrics ScopeEngine::Execute(const workload::JobInstance& job,
 exec::JobMetrics ScopeEngine::ExecuteImpl(
     const workload::JobInstance& job, const opt::CompilationOutput& compilation,
     uint64_t run_salt) const {
-  if (!exec_options_.prepared) {
-    return Execute(job, compilation.plan, run_salt);
-  }
   std::shared_ptr<const exec::ExecutionProfile> profile =
       PrepareProfile(job, compilation);
   return simulator_.Execute(*profile, RunSeed(job, run_salt));
@@ -295,13 +220,6 @@ std::vector<exec::JobMetrics> ScopeEngine::ExecuteRuns(
   QO_OBS_SPAN("exec.run_batch");
   std::vector<exec::JobMetrics> out;
   out.reserve(runs > 0 ? static_cast<size_t>(runs) : 0);
-  if (!exec_options_.prepared) {
-    for (int i = 0; i < runs; ++i) {
-      out.push_back(Execute(job, compilation.plan,
-                            first_salt + static_cast<uint64_t>(i)));
-    }
-    return out;
-  }
   std::shared_ptr<const exec::ExecutionProfile> profile =
       PrepareProfile(job, compilation);
   for (int i = 0; i < runs; ++i) {
@@ -358,13 +276,11 @@ ScopeEngine::TemplateHists ScopeEngine::TemplateHistsFor(
 }
 
 telemetry::CompileCacheTelemetry ScopeEngine::compile_cache_telemetry() const {
-  if (cache_ == nullptr) return telemetry::CompileCacheTelemetry{};
-  return cache_->Telemetry();
+  return cache_.Telemetry();
 }
 
 telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
   telemetry::OptimizerTelemetry t;
-  t.memo_enabled = cross_config_memo_enabled();
   t.memo_full_hits = memo_full_hits_.load(std::memory_order_relaxed);
   t.memo_norm_hits = memo_norm_hits_.load(std::memory_order_relaxed);
   t.memo_misses = memo_misses_.load(std::memory_order_relaxed);
@@ -374,10 +290,8 @@ telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
 
 telemetry::ExecProfileTelemetry ScopeEngine::exec_profile_telemetry() const {
   telemetry::ExecProfileTelemetry t;
-  t.prepared_enabled = exec_options_.prepared;
   t.prepares = simulator_.profile_prepares();
   t.prepared_runs = simulator_.prepared_runs();
-  t.unprepared_runs = simulator_.unprepared_runs();
   t.profile_hits = profile_hits_.load(std::memory_order_relaxed);
   t.profile_misses = profile_misses_.load(std::memory_order_relaxed);
   return t;

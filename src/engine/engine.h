@@ -4,12 +4,16 @@
 // This is the component QO-Advisor steers: the pipeline talks to it for
 // recompilation, and the flighting service uses it for pre-production runs.
 //
-// Compilation is served through a two-level cache (src/cache/): a
-// config-independent front-end memo (script -> LogicalPlan) plus a full
-// (job, config) compilation cache, both sharded/LRU-bounded and keyed by
-// content fingerprints. The cache is transparent — results are byte-
-// identical with it on (default), off (QO_COMPILE_CACHE=0) and at any
-// thread count — it only changes how often the compiler actually runs.
+// There is one compile path and one execute path. Compilation is served
+// through a two-level cache (src/cache/): a config-independent front-end
+// memo (script -> LogicalPlan) plus a full (job, config) compilation cache,
+// both sharded/LRU-bounded and keyed by content fingerprints; an L2 miss
+// consults the job's cross-config memo before running the optimizer.
+// Execution runs every compilation through its prepared ExecutionProfile.
+// Both are transparent — results are byte-identical to a direct
+// CompileSource + Optimizer::Optimize + Prepare/Execute at any thread count
+// (the tests' reference oracle); they only change how often the compiler
+// and the stage decomposition actually run.
 #ifndef QO_ENGINE_ENGINE_H_
 #define QO_ENGINE_ENGINE_H_
 
@@ -24,7 +28,6 @@
 #include "exec/cluster.h"
 #include "exec/metrics.h"
 #include "obs/metrics.h"
-#include "optimizer/cross_config_memo.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
 #include "telemetry/cache_telemetry.h"
@@ -33,19 +36,6 @@
 #include "workload/template_gen.h"
 
 namespace qo::engine {
-
-/// Execution-side engine options.
-struct ExecOptions {
-  /// Serve repeated executions of one compilation from a prepared
-  /// ExecutionProfile cached on the shared CompilationOutput. Transparent:
-  /// metrics are byte-identical either way (asserted by exec_test); off only
-  /// costs a fresh stage decomposition per run.
-  bool prepared = true;
-
-  /// Reads QO_PREPARED_EXEC (0 disables; unset/anything else keeps the
-  /// default on).
-  static ExecOptions FromEnv();
-};
 
 /// Compilation + one execution of a job. The compilation is shared with the
 /// engine's cache (immutable; copy `*compilation` if mutation is needed).
@@ -67,10 +57,7 @@ class ScopeEngine {
       opt::OptimizerOptions optimizer_options = {},
       exec::ClusterConfig cluster_config = {},
       cache::CompileCacheOptions cache_options =
-          cache::CompileCacheOptions::FromEnv(),
-      ExecOptions exec_options = ExecOptions::FromEnv(),
-      opt::CrossConfigMemoOptions memo_options =
-          opt::CrossConfigMemoOptions::FromEnv());
+          cache::CompileCacheOptions::FromEnv());
   /// Deregisters the engine's registry collector.
   ~ScopeEngine();
   ScopeEngine(const ScopeEngine&) = delete;
@@ -78,14 +65,10 @@ class ScopeEngine {
 
   /// Parses, compiles and optimizes the instance's script under `config`.
   /// CompileError on parse/semantic errors or infeasible configurations.
-  /// Thread-safety: const and deterministic per (job, config), safe to call
-  /// concurrently. Returns an owned copy; prefer CompileShared on hot paths.
-  Result<opt::CompilationOutput> Compile(const workload::JobInstance& job,
-                                         const opt::RuleConfig& config) const;
-
-  /// Compile without copying: the returned output is shared with the cache
-  /// and must not be mutated. This is the path the advisor pipeline uses —
-  /// a cache hit is O(1) regardless of plan size.
+  /// The returned output is shared with the cache and must not be mutated
+  /// (copy `*output` if mutation is needed); a cache hit is O(1) regardless
+  /// of plan size. Thread-safety: const and deterministic per (job, config),
+  /// safe to call concurrently.
   /// [[deprecated]]-in-spirit for steered compile traffic: callers that want
   /// hint resolution should go through service::TenantSession::Compile,
   /// which resolves the tenant's published hint snapshot and then lands
@@ -109,18 +92,10 @@ class ScopeEngine {
                            const opt::RuleConfig& config,
                            uint64_t run_salt) const;
 
-  /// Executes an already-compiled plan. This is the unprepared path: the
-  /// simulator re-derives the execution profile on every call. Prefer the
-  /// CompilationOutput overload on hot paths.
-  /// Thread-safety: const and pure — see Run(); safe to call concurrently.
-  exec::JobMetrics Execute(const workload::JobInstance& job,
-                           const opt::PhysicalPlan& plan,
-                           uint64_t run_salt) const;
-
-  /// Executes a shared compilation through its cached execution profile
-  /// (prepared lazily on first use, then reused by every later run — A/A,
-  /// A/B arms, eval loops). Byte-identical to the plan overload for every
-  /// salt. Thread-safety: const; the profile slot is internally
+  /// Executes a compilation through its cached execution profile (prepared
+  /// lazily on first use, then reused by every later run — A/A, A/B arms,
+  /// eval loops). Thread-safety: const and pure — all randomness derives
+  /// from (job.run_seed, run_salt); the profile slot is internally
   /// synchronized, safe to call concurrently.
   exec::JobMetrics Execute(const workload::JobInstance& job,
                            const opt::CompilationOutput& compilation,
@@ -136,8 +111,7 @@ class ScopeEngine {
 
   /// The compilation's execution profile: reuses the slot when it already
   /// holds a profile for this engine's cluster config, otherwise prepares
-  /// (and publishes) one. Always prepares, regardless of the QO_PREPARED_EXEC
-  /// knob — the knob only steers Run/Execute routing.
+  /// (and publishes) one.
   std::shared_ptr<const exec::ExecutionProfile> PrepareProfile(
       const workload::JobInstance& job,
       const opt::CompilationOutput& compilation) const;
@@ -149,21 +123,10 @@ class ScopeEngine {
     return simulator_.config();
   }
 
-  /// True when the two-level compilation cache is active.
-  bool compile_cache_enabled() const { return cache_ != nullptr; }
-  /// Hit/miss/eviction counters (all zero when the cache is disabled).
+  /// Hit/miss/eviction counters of the two cache levels.
   telemetry::CompileCacheTelemetry compile_cache_telemetry() const;
-
-  /// True when Run/Execute serve repeated runs from prepared profiles.
-  bool prepared_exec_enabled() const { return exec_options_.prepared; }
-  /// Prepare/reuse counters for the prepared-execution path.
+  /// Prepare/reuse counters of the execution profiles.
   telemetry::ExecProfileTelemetry exec_profile_telemetry() const;
-
-  /// True when L2 misses probe the per-job cross-config memo. Requires the
-  /// compile cache (the memo rides on front-end entries).
-  bool cross_config_memo_enabled() const {
-    return memo_options_.enabled && cache_ != nullptr;
-  }
   /// Cross-config memo hit/miss counters plus the process-wide interned
   /// symbol count.
   telemetry::OptimizerTelemetry optimizer_telemetry() const;
@@ -192,15 +155,10 @@ class ScopeEngine {
     obs::Histogram* exec_ns = nullptr;
   };
   TemplateHists TemplateHistsFor(const workload::JobInstance& job) const;
-  /// The uncached compile path (also the cache's miss handler when the
-  /// cross-config memo is off).
-  Result<opt::CompilationOutput> Optimize(const scope::LogicalPlan& logical,
-                                          const workload::JobInstance& job,
-                                          const opt::RuleConfig& config) const;
-  /// L2-miss handler with the cross-config memo: probes the front-end
-  /// entry's footprint memo before (and feeds it after) a real optimizer
-  /// run. Returns a shared output — a full-tier hit and the memo insert are
-  /// both refcount bumps on the one immutable CompilationOutput.
+  /// L2-miss handler: probes the front-end entry's footprint memo before
+  /// (and feeds it after) a real optimizer run. Returns a shared output — a
+  /// full-tier hit and the memo insert are both refcount bumps on the one
+  /// immutable CompilationOutput.
   Result<std::shared_ptr<const opt::CompilationOutput>> OptimizeWithMemo(
       const cache::CachedFrontEnd& fe, const workload::JobInstance& job,
       const opt::RuleConfig& config) const;
@@ -208,13 +166,10 @@ class ScopeEngine {
 
   opt::OptimizerOptions optimizer_options_;
   exec::ClusterSimulator simulator_;
-  ExecOptions exec_options_;
-  opt::CrossConfigMemoOptions memo_options_;
   /// Folded into every cache key so options changes can never alias.
   uint64_t options_fingerprint_ = 0;
-  /// Null when disabled. Mutable state behind const Compile; internally
-  /// synchronized.
-  std::unique_ptr<cache::CompilationCache> cache_;
+  /// Mutable state behind const CompileShared; internally synchronized.
+  mutable cache::CompilationCache cache_;
   /// Profile-slot reuse counters (relaxed; monotone under concurrency).
   mutable std::atomic<uint64_t> profile_hits_{0};
   mutable std::atomic<uint64_t> profile_misses_{0};

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <utility>
 
 #include "common/hash.h"
@@ -281,10 +281,9 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
   p.config_fingerprint = config_fingerprint_;
   p.catalog_fingerprint = catalog.StatsFingerprint();
 
-  // Plan-level byte counters and total work, accumulated in node order (the
-  // exact summation order of the legacy Execute, so the doubles match
-  // bit-for-bit). One ComputeNodeWork pass serves both these totals and the
-  // per-stage aggregation below.
+  // Plan-level byte counters and total work, accumulated in node order. One
+  // ComputeNodeWork pass serves both these totals and the per-stage
+  // aggregation below.
   std::vector<NodeWork> works = ComputeAllNodeWork(plan, catalog, config_);
   for (const NodeWork& w : works) {
     p.data_read_bytes += w.io_read_bytes;
@@ -314,6 +313,44 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
     p.stages.push_back(std::move(sp));
   }
 
+  // Topological evaluation order: iterative DFS, roots visited in index
+  // order, upstream in vector order. A shared-subtree plan can make two
+  // stages each other's upstream (a shared scan read both directly and
+  // through an exchange); the DFS meets such an edge while its target is
+  // still on the stack and drops it. The target has no finish time yet and
+  // counts as 0.0, which never raises the ready time, so the drop changes
+  // no finish time and every remaining upstream finish is resolved before
+  // its consumer in one linear walk.
+  enum : uint8_t { kUnvisited = 0, kOnStack = 1, kDone = 2 };
+  std::vector<uint8_t> state(p.stages.size(), kUnvisited);
+  std::vector<std::pair<int, size_t>> dfs;  // (stage, next upstream position)
+  p.topo_order.reserve(p.stages.size());
+  for (size_t root = 0; root < p.stages.size(); ++root) {
+    if (state[root] != kUnvisited) continue;
+    state[root] = kOnStack;
+    dfs.emplace_back(static_cast<int>(root), 0);
+    while (!dfs.empty()) {
+      auto& [idx, pos] = dfs.back();
+      std::vector<int>& upstream = p.stages[idx].upstream;
+      if (pos < upstream.size()) {
+        int up = upstream[pos];
+        if (state[up] == kOnStack) {
+          upstream.erase(upstream.begin() + static_cast<ptrdiff_t>(pos));
+          continue;
+        }
+        ++pos;
+        if (state[up] == kUnvisited) {
+          state[up] = kOnStack;
+          dfs.emplace_back(up, 0);
+        }
+      } else {
+        state[idx] = kDone;
+        p.topo_order.push_back(idx);
+        dfs.pop_back();
+      }
+    }
+  }
+
   // SoA transpose of the per-stage columns + CSR upstream adjacency: the
   // operands of the batched ExecuteRuns sweep.
   const size_t n_stages = p.stages.size();
@@ -336,38 +373,6 @@ ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
     p.upstream_offsets.push_back(
         static_cast<int32_t>(p.upstream_list.size()));
   }
-
-  // Topological evaluation order matching the legacy memoized recursion
-  // (iterative DFS, roots visited in index order, upstream in vector order).
-  // Cycles cannot arise from exchange boundaries alone but are conceivable
-  // for shared-subtree DAGs; detect them so Execute can keep the legacy
-  // recursion's exact cycle-breaking semantics.
-  enum : uint8_t { kUnvisited = 0, kOnStack = 1, kDone = 2 };
-  std::vector<uint8_t> state(p.stages.size(), kUnvisited);
-  std::vector<std::pair<int, size_t>> dfs;  // (stage, next upstream position)
-  p.topo_order.reserve(p.stages.size());
-  for (size_t root = 0; root < p.stages.size(); ++root) {
-    if (state[root] != kUnvisited) continue;
-    state[root] = kOnStack;
-    dfs.emplace_back(static_cast<int>(root), 0);
-    while (!dfs.empty()) {
-      auto& [idx, pos] = dfs.back();
-      const std::vector<int>& upstream = p.stages[idx].upstream;
-      if (pos < upstream.size()) {
-        int up = upstream[pos++];
-        if (state[up] == kUnvisited) {
-          state[up] = kOnStack;
-          dfs.emplace_back(up, 0);
-        } else if (state[up] == kOnStack) {
-          p.has_cycle = true;
-        }
-      } else {
-        state[idx] = kDone;
-        p.topo_order.push_back(idx);
-        dfs.pop_back();
-      }
-    }
-  }
   p.topo32.assign(p.topo_order.begin(), p.topo_order.end());
   return p;
 }
@@ -377,33 +382,11 @@ std::shared_ptr<const ExecutionProfile> ClusterSimulator::PrepareShared(
   return std::make_shared<const ExecutionProfile>(Prepare(plan, catalog));
 }
 
-JobMetrics ClusterSimulator::Execute(const PhysicalPlan& plan,
-                                     const scope::Catalog& catalog,
-                                     uint64_t run_seed) const {
-  unprepared_runs_.fetch_add(1, std::memory_order_relaxed);
-  return ExecuteProfile(Prepare(plan, catalog), run_seed);
-}
-
-JobMetrics ClusterSimulator::Execute(const ExecutionProfile& profile,
-                                     uint64_t run_seed) const {
-  prepared_runs_.fetch_add(1, std::memory_order_relaxed);
-  return ExecuteProfile(profile, run_seed);
-}
-
 std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
     const ExecutionProfile& profile, uint64_t base_seed, int runs) const {
   std::vector<JobMetrics> out;
   if (runs <= 0) return out;
   out.reserve(static_cast<size_t>(runs));
-  if (profile.has_cycle) {
-    // The cyclic fallback keeps the legacy memoized recursion per seed.
-    for (int i = 0; i < runs; ++i) {
-      prepared_runs_.fetch_add(1, std::memory_order_relaxed);
-      out.push_back(
-          ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
-    }
-    return out;
-  }
 
   using kernels::kLanes;
   const kernels::KernelTable& kt = kernels::Active();
@@ -420,7 +403,7 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
     double overhead[kLanes];
     double critical[kLanes];
     for (size_t j = 0; j < kLanes; ++j) {
-      // Draw phase, per lane, in the exact legacy draw order: PNhours
+      // Draw phase, per lane, in Execute's exact draw order: PNhours
       // noise, per-stage retries, per-stage latency noise, job congestion,
       // job overhead, per-stage memory. Only the DAG walk (which draws
       // nothing) leaves the lane for the vectorized sweep below.
@@ -478,18 +461,16 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
     prepared_runs_.fetch_add(kLanes, std::memory_order_relaxed);
   }
   for (; i < runs; ++i) {
-    prepared_runs_.fetch_add(1, std::memory_order_relaxed);
-    out.push_back(
-        ExecuteProfile(profile, base_seed + static_cast<uint64_t>(i)));
+    out.push_back(Execute(profile, base_seed + static_cast<uint64_t>(i)));
   }
   return out;
 }
 
-// The stochastic inner loop. Every arithmetic expression here mirrors the
-// legacy one-shot Execute exactly (same draw order, same association), so
-// prepared and unprepared runs produce bit-identical JobMetrics.
-JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
-                                            uint64_t run_seed) const {
+// The stochastic inner loop. ExecuteRuns' lanes repeat its draw order and
+// arithmetic exactly, so batched and single runs are bit-identical.
+JobMetrics ClusterSimulator::Execute(const ExecutionProfile& p,
+                                     uint64_t run_seed) const {
+  prepared_runs_.fetch_add(1, std::memory_order_relaxed);
   Rng rng(run_seed);
   JobMetrics m;
   m.data_read_bytes = p.data_read_bytes;
@@ -530,31 +511,15 @@ JobMetrics ClusterSimulator::ExecuteProfile(const ExecutionProfile& p,
     return config_.stage_startup_sec +
            s.waves_per_vertex_sec * stage_noise[idx] * s.tail_inflation;
   };
+  // Upstream finishes are resolved before their consumers in topo order,
+  // so the critical path is one linear walk.
   std::vector<double> finish(p.stages.size(), -1.0);
-  if (!p.has_cycle) {
-    // Upstream finishes are resolved before their consumers in topo order:
-    // the memoized recursion collapses to one linear walk.
-    for (int idx : p.topo_order) {
-      double ready = 0.0;
-      for (int up : p.stages[idx].upstream) {
-        ready = std::max(ready, finish[up]);
-      }
-      finish[idx] = ready + duration_of(idx);
+  for (int idx : p.topo_order) {
+    double ready = 0.0;
+    for (int up : p.stages[idx].upstream) {
+      ready = std::max(ready, finish[up]);
     }
-  } else {
-    // Legacy memoized recursion, kept verbatim for its cycle-breaking
-    // semantics (finish reads 0.0 for a stage currently being computed).
-    std::function<double(size_t)> finish_of = [&](size_t idx) -> double {
-      if (finish[idx] >= 0.0) return finish[idx];
-      finish[idx] = 0.0;  // break cycles defensively
-      double ready = 0.0;
-      for (int up : p.stages[idx].upstream) {
-        ready = std::max(ready, finish_of(static_cast<size_t>(up)));
-      }
-      finish[idx] = ready + duration_of(static_cast<int>(idx));
-      return finish[idx];
-    };
-    for (size_t i = 0; i < p.stages.size(); ++i) finish_of(i);
+    finish[idx] = ready + duration_of(idx);
   }
   double critical = 0.0;
   for (size_t i = 0; i < p.stages.size(); ++i) {

@@ -18,8 +18,7 @@
 // of a run — stage decomposition, per-stage noiseless work, byte counters,
 // vertex counts — is split out into an ExecutionProfile built once by
 // Prepare(). Execute(profile, seed) then performs only the stochastic draws
-// plus a linear walk over the pre-toposorted stages, and is byte-identical
-// to Execute(plan, catalog, seed) for every seed.
+// plus a linear walk over the pre-toposorted stages.
 #ifndef QO_EXEC_CLUSTER_H_
 #define QO_EXEC_CLUSTER_H_
 
@@ -107,7 +106,12 @@ struct StageProfile {
   double waves_per_vertex_sec = 0.0;
   /// Expected-max inflation for the slowest vertex of the wave.
   double tail_inflation = 1.0;
-  std::vector<int> upstream;  ///< stages this stage waits for
+  /// Stages this stage waits for, minus back edges: a shared-subtree plan
+  /// can make two stages each other's upstream, and Prepare drops the edge
+  /// its DFS meets while the target is still on the stack. That target has
+  /// no finish time yet and counts as 0.0, which never raises the ready
+  /// time, so dropping the edge changes no finish time.
+  std::vector<int> upstream;
 };
 
 /// Everything about a (plan, catalog, cluster config) triple that does not
@@ -141,10 +145,6 @@ struct ExecutionProfile {
   std::vector<int32_t> upstream_offsets;
   std::vector<int32_t> upstream_list;
 
-  /// Defensive: the stage graph of a shared-subtree DAG could in principle
-  /// contain a cycle; Execute then falls back to the legacy memoized
-  /// recursion so metrics stay byte-identical with the unprepared path.
-  bool has_cycle = false;
   double total_cpu_sec = 0.0;
   double total_io_sec = 0.0;
   double data_read_bytes = 0.0;
@@ -179,20 +179,10 @@ class ClusterSimulator {
   const ClusterConfig& config() const { return config_; }
   uint64_t config_fingerprint() const { return config_fingerprint_; }
 
-  /// Executes `plan` once. The catalog supplies ground-truth table sizes for
-  /// scan I/O. Byte counters in the result are noise-free (paper Sec. 4.3:
-  /// "data read and data written remain constant" across A/A runs).
-  /// Re-derives the execution profile on every call; repeated runs of one
-  /// plan should Prepare() once and use the profile overload instead.
-  /// Thread-safety: const and pure — every stochastic draw comes from a
-  /// local Rng seeded with `run_seed` (no shared generator), and `config_`
-  /// is immutable after construction; safe to call concurrently.
-  JobMetrics Execute(const opt::PhysicalPlan& plan,
-                     const scope::Catalog& catalog, uint64_t run_seed) const;
-
   /// Builds the deterministic execution profile of `plan`: one pass of
   /// ComputeNodeWork + DecomposeIntoStages, amortized across every later
-  /// Execute(profile, seed) call. Thread-safety: const and pure.
+  /// Execute(profile, seed) call. The catalog supplies ground-truth table
+  /// sizes for scan I/O. Thread-safety: const and pure.
   ExecutionProfile Prepare(const opt::PhysicalPlan& plan,
                            const scope::Catalog& catalog) const;
 
@@ -202,15 +192,17 @@ class ClusterSimulator {
       const opt::PhysicalPlan& plan, const scope::Catalog& catalog) const;
 
   /// Executes a prepared profile once: only the stochastic draws and the
-  /// linear critical-path walk run. Byte-identical to the plan overload for
-  /// every seed (asserted by exec_test). The profile must come from a
-  /// simulator with the same ClusterConfig. Thread-safety: const and pure;
-  /// one profile may be executed from many threads concurrently.
+  /// linear critical-path walk run. Byte counters in the result are
+  /// noise-free (paper Sec. 4.3: "data read and data written remain
+  /// constant" across A/A runs). The profile must come from a simulator with
+  /// the same ClusterConfig. Thread-safety: const and pure — every
+  /// stochastic draw comes from a local Rng seeded with `run_seed`; one
+  /// profile may be executed from many threads concurrently.
   JobMetrics Execute(const ExecutionProfile& profile, uint64_t run_seed) const;
 
   /// Batched A/A runs: Execute(profile, base_seed + i) for i in [0, runs).
   /// Seeds are processed in lane blocks of four: each lane performs its
-  /// stochastic draws sequentially in the exact legacy order, then one
+  /// stochastic draws sequentially in Execute's exact order, then one
   /// vectorized critical-path sweep resolves all four lanes' stage DAG walks
   /// at once. Every JobMetrics is bit-identical to Execute(profile, seed)
   /// for that seed (asserted by exec_test across dispatch tables).
@@ -218,27 +210,19 @@ class ClusterSimulator {
                                       uint64_t base_seed, int runs) const;
 
   /// Lifetime counters (relaxed atomics; exact under serial use, monotone
-  /// under concurrency): profile preparations, runs served from a profile,
-  /// and legacy runs that re-derived the profile in-line.
+  /// under concurrency): profile preparations and runs.
   uint64_t profile_prepares() const {
     return prepares_.load(std::memory_order_relaxed);
   }
   uint64_t prepared_runs() const {
     return prepared_runs_.load(std::memory_order_relaxed);
   }
-  uint64_t unprepared_runs() const {
-    return unprepared_runs_.load(std::memory_order_relaxed);
-  }
 
  private:
-  JobMetrics ExecuteProfile(const ExecutionProfile& profile,
-                            uint64_t run_seed) const;
-
   ClusterConfig config_;
   uint64_t config_fingerprint_ = 0;
   mutable std::atomic<uint64_t> prepares_{0};
   mutable std::atomic<uint64_t> prepared_runs_{0};
-  mutable std::atomic<uint64_t> unprepared_runs_{0};
 };
 
 }  // namespace qo::exec

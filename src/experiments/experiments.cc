@@ -55,18 +55,6 @@ runtime::RuntimeOptions HarnessRuntimeOptions(const ExperimentConfig& config) {
   return options;
 }
 
-cache::CompileCacheOptions HarnessCacheOptions(const ExperimentConfig& config) {
-  cache::CompileCacheOptions options = cache::CompileCacheOptions::FromEnv();
-  if (config.compile_cache >= 0) options.enabled = config.compile_cache != 0;
-  return options;
-}
-
-engine::ExecOptions HarnessExecOptions(const ExperimentConfig& config) {
-  engine::ExecOptions options = engine::ExecOptions::FromEnv();
-  if (config.prepared_exec >= 0) options.prepared = config.prepared_exec != 0;
-  return options;
-}
-
 /// A recommender wired to a throwaway personalizer, for experiments that
 /// need EvaluateFlip without learning.
 struct FlipEvaluator {
@@ -108,7 +96,6 @@ ExperimentEnv::ExperimentEnv(ExperimentConfig config)
       driver_({.num_templates = config.num_templates,
                .jobs_per_day = config.jobs_per_day,
                .seed = config.seed}),
-      engine_({}, {}, HarnessCacheOptions(config), HarnessExecOptions(config)),
       runtime_(HarnessRuntimeOptions(config)),
       injector_(config.faults) {}
 

@@ -31,15 +31,6 @@ struct ExperimentConfig {
   /// 0 reads QO_THREADS from the environment (the bench binaries' knob);
   /// 1 forces serial. Results are byte-identical for every value.
   int threads = 0;
-  /// Two-level compilation cache for the harness's engine: -1 reads
-  /// QO_COMPILE_CACHE from the environment (default on), 0 forces it off,
-  /// 1 forces it on. Results are byte-identical for every value.
-  int compile_cache = -1;
-  /// Prepared execution profiles for the harness's engine: -1 reads
-  /// QO_PREPARED_EXEC from the environment (default on), 0 forces the
-  /// legacy per-run decomposition, 1 forces prepared execution. Results are
-  /// byte-identical for every value.
-  int prepared_exec = -1;
   /// Chaos faults for the production-day simulation: injected steered-run
   /// compile failures (falling back to the default config, as SCOPE does)
   /// and sticky hinted regressions (the watchdog's prey). Defaults read the

@@ -1,19 +1,8 @@
 #include "optimizer/cross_config_memo.h"
 
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 namespace qo::opt {
-
-CrossConfigMemoOptions CrossConfigMemoOptions::FromEnv() {
-  CrossConfigMemoOptions options;
-  const char* enabled = std::getenv("QO_CROSS_CONFIG_MEMO");
-  if (enabled != nullptr && std::strcmp(enabled, "0") == 0) {
-    options.enabled = false;
-  }
-  return options;
-}
 
 bool CrossConfigMemo::FindFull(
     const BitVector256& config, Status* status,

@@ -31,10 +31,8 @@
 // exercised), and a scan over <= ~100 32-byte masks is cheaper than
 // maintaining an index. Capacity is bounded by dropping new inserts when
 // full; since every entry is provably equal to a fresh compile, eviction
-// policy can change hit *counts* but never output bytes.
-//
-// Env knob: QO_CROSS_CONFIG_MEMO=0 disables the memo (byte-identity leg in
-// CI compiles everything the slow way and diffs the figures).
+// policy can change hit *counts* but never output bytes. Tests check every
+// memoized compile against a direct optimizer run.
 #ifndef QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 #define QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 
@@ -47,14 +45,6 @@
 #include "optimizer/optimizer.h"
 
 namespace qo::opt {
-
-struct CrossConfigMemoOptions {
-  bool enabled = true;
-
-  /// Reads QO_CROSS_CONFIG_MEMO (set to "0" to disable); unset keeps the
-  /// default.
-  static CrossConfigMemoOptions FromEnv();
-};
 
 /// Thread-safe two-tier footprint memo. One instance per cached front-end
 /// entry (same lifetime as the logical plan it describes).

@@ -20,8 +20,6 @@ AdvisorOptions AdvisorOptions::FromEnv() {
   // moment the caller asked for the snapshot.
   o.runtime = runtime::RuntimeOptions::FromEnv();
   o.compile_cache = cache::CompileCacheOptions::FromEnv();
-  o.exec = engine::ExecOptions::FromEnv();
-  o.memo = opt::CrossConfigMemoOptions::FromEnv();
   o.guard = guard::GuardConfig::FromEnv();
   const char* metrics = std::getenv("QO_METRICS");
   o.obs.metrics = metrics == nullptr || std::string(metrics) != "0";

@@ -1,10 +1,9 @@
 // One aggregate for every environment knob the advisor stack reads.
 //
-// Before the service layer, six option structs each read the environment at
+// Before the service layer, the option structs each read the environment at
 // their own construction time (RuntimeOptions/CompileCacheOptions/
-// ExecOptions/CrossConfigMemoOptions/GuardConfig via FromEnv defaults, plus
-// the QO_METRICS/QO_OBS_*/QO_TRACE observability knobs cached on first
-// use). A long-running process could therefore observe *different* env
+// GuardConfig via FromEnv defaults, plus the QO_METRICS/QO_OBS_*/QO_TRACE
+// observability knobs cached on first use). A long-running process could therefore observe *different* env
 // values per subsystem depending on construction order. AdvisorOptions
 // fixes the inconsistency: FromEnv() snapshots every knob exactly once, and
 // the AdvisorService threads the captured values explicitly into each
@@ -13,9 +12,7 @@
 //
 // Knob map (legacy reader -> field):
 //   QO_THREADS                 -> runtime.num_threads
-//   QO_COMPILE_CACHE[_*]       -> compile_cache.{enabled,capacities,shards}
-//   QO_PREPARED_EXEC           -> exec.prepared
-//   QO_CROSS_CONFIG_MEMO       -> memo.enabled
+//   QO_COMPILE_CACHE_CAPACITY / _SHARDS -> compile_cache.{capacities,shards}
 //   QO_GUARD + QO_FAULT_*      -> guard.{enabled,faults}
 //   QO_METRICS                 -> obs.metrics
 //   QO_OBS_REPORT / QO_OBS_LABEL / QO_TRACE -> obs.{report_path,label,trace_path}
@@ -29,9 +26,7 @@
 #include <string>
 
 #include "cache/compilation_cache.h"
-#include "engine/engine.h"
 #include "guard/guardrail.h"
-#include "optimizer/cross_config_memo.h"
 #include "runtime/runtime.h"
 
 namespace qo::service {
@@ -64,8 +59,6 @@ struct ObsOptions {
 struct AdvisorOptions {
   runtime::RuntimeOptions runtime;
   cache::CompileCacheOptions compile_cache;
-  engine::ExecOptions exec;
-  opt::CrossConfigMemoOptions memo;
   /// Guardrails + fault injection. Default-inert (enabled=false, no fault
   /// probabilities), matching GuardConfig{}.
   guard::GuardConfig guard;

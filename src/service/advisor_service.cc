@@ -41,8 +41,7 @@ AdvisorService::TenantState::TenantState(std::string tenant_name,
                        ? nullptr
                        : std::make_unique<engine::ScopeEngine>(
                              opt::OptimizerOptions{}, exec::ClusterConfig{},
-                             options.compile_cache, options.exec,
-                             options.memo)),
+                             options.compile_cache)),
       engine(config.engine != nullptr ? config.engine : owned_engine.get()),
       sis(config.sis),
       personalizer(config.personalizer) {}

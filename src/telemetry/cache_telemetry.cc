@@ -21,7 +21,6 @@ void AppendLevel(std::string* out, const char* name, const CacheCounters& c) {
 }  // namespace
 
 std::string CompileCacheTelemetry::ToString() const {
-  if (!enabled) return "compile cache: disabled\n";
   std::string out = "compile cache:\n";
   AppendLevel(&out, "front_end", front_end);
   AppendLevel(&out, "compilations", compilations);
@@ -44,7 +43,6 @@ void ExportLevel(const char* prefix, const CacheCounters& c,
 }  // namespace
 
 void ExportSeries(const CompileCacheTelemetry& t, obs::SeriesSink& sink) {
-  sink.Add("cache.enabled", t.enabled ? 1.0 : 0.0);
   ExportLevel("cache.front_end", t.front_end, sink);
   ExportLevel("cache.compilations", t.compilations, sink);
 }

@@ -35,7 +35,6 @@ struct CacheCounters {
 /// front-end memo (script -> logical plan) and the full (job, config)
 /// compilation cache.
 struct CompileCacheTelemetry {
-  bool enabled = false;
   CacheCounters front_end;
   CacheCounters compilations;
 
@@ -43,11 +42,10 @@ struct CompileCacheTelemetry {
   std::string ToString() const;
 };
 
-/// Exports the snapshot as registry series ("cache.enabled",
-/// "cache.front_end.hits", "cache.compilations.hit_rate", ...). The engine
-/// registers this as a registry collector, so every MetricsSnapshot / run
-/// report carries the cache surface. "cache.enabled"=0 with zero counters
-/// distinguishes cache-off from an idle cache.
+/// Exports the snapshot as registry series ("cache.front_end.hits",
+/// "cache.compilations.hit_rate", ...). The engine registers this as a
+/// registry collector, so every MetricsSnapshot / run report carries the
+/// cache surface.
 void ExportSeries(const CompileCacheTelemetry& t, obs::SeriesSink& sink);
 
 }  // namespace qo::telemetry

@@ -5,26 +5,22 @@
 namespace qo::telemetry {
 
 std::string ExecProfileTelemetry::ToString() const {
-  char line[224];
+  char line[192];
   std::snprintf(
       line, sizeof(line),
-      "exec profiles:%s\n"
-      "  prepares=%llu prepared_runs=%llu unprepared_runs=%llu "
+      "exec profiles:\n"
+      "  prepares=%llu prepared_runs=%llu "
       "slot_hits=%llu slot_misses=%llu reuse_rate=%.1f%%\n",
-      prepared_enabled ? "" : " (prepared exec disabled)",
       static_cast<unsigned long long>(prepares),
       static_cast<unsigned long long>(prepared_runs),
-      static_cast<unsigned long long>(unprepared_runs),
       static_cast<unsigned long long>(profile_hits),
       static_cast<unsigned long long>(profile_misses), 100.0 * reuse_rate());
   return line;
 }
 
 void ExportSeries(const ExecProfileTelemetry& t, obs::SeriesSink& sink) {
-  sink.Add("exec.prepared_enabled", t.prepared_enabled ? 1.0 : 0.0);
   sink.Add("exec.prepares", static_cast<double>(t.prepares));
   sink.Add("exec.prepared_runs", static_cast<double>(t.prepared_runs));
-  sink.Add("exec.unprepared_runs", static_cast<double>(t.unprepared_runs));
   sink.Add("exec.profile_hits", static_cast<double>(t.profile_hits));
   sink.Add("exec.profile_misses", static_cast<double>(t.profile_misses));
   sink.Add("exec.reuse_rate", t.reuse_rate());

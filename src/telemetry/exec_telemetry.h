@@ -15,19 +15,14 @@
 namespace qo::telemetry {
 
 /// Snapshot of prepared-execution activity: how many execution profiles were
-/// prepared, how many runs were served from a profile vs re-derived the
-/// deterministic work inline, and how often the engine's per-compilation
-/// profile slot was reused vs filled.
+/// prepared, how many runs they served, and how often the engine's
+/// per-compilation profile slot was reused vs filled.
 struct ExecProfileTelemetry {
-  /// False when QO_PREPARED_EXEC=0 pinned the engine to the legacy path.
-  bool prepared_enabled = false;
-  uint64_t prepares = 0;         ///< full Prepare() computations
-  uint64_t prepared_runs = 0;    ///< Execute(profile, seed) runs
-  uint64_t unprepared_runs = 0;  ///< legacy Execute(plan, catalog, seed) runs
-  uint64_t profile_hits = 0;     ///< engine slot lookups served by a profile
-  uint64_t profile_misses = 0;   ///< engine slot lookups that had to prepare
+  uint64_t prepares = 0;        ///< full Prepare() computations
+  uint64_t prepared_runs = 0;   ///< runs served from a profile
+  uint64_t profile_hits = 0;    ///< engine slot lookups served by a profile
+  uint64_t profile_misses = 0;  ///< engine slot lookups that had to prepare
 
-  uint64_t runs() const { return prepared_runs + unprepared_runs; }
   uint64_t slot_lookups() const { return profile_hits + profile_misses; }
   /// Fraction of slot lookups that reused an already-prepared profile.
   double reuse_rate() const {
@@ -40,8 +35,8 @@ struct ExecProfileTelemetry {
   std::string ToString() const;
 };
 
-/// Exports the snapshot as registry series ("exec.prepared_enabled",
-/// "exec.prepares", "exec.reuse_rate", ...).
+/// Exports the snapshot as registry series ("exec.prepares",
+/// "exec.prepared_runs", "exec.reuse_rate", ...).
 void ExportSeries(const ExecProfileTelemetry& t, obs::SeriesSink& sink);
 
 }  // namespace qo::telemetry

@@ -5,13 +5,6 @@
 namespace qo::telemetry {
 
 std::string OptimizerTelemetry::ToString() const {
-  if (!memo_enabled) {
-    char line[96];
-    std::snprintf(line, sizeof(line),
-                  "cross-config memo: disabled (symbols=%zu)\n",
-                  interned_symbols);
-    return line;
-  }
   char line[192];
   std::snprintf(line, sizeof(line),
                 "cross-config memo: full_hits=%llu norm_hits=%llu "
@@ -24,7 +17,6 @@ std::string OptimizerTelemetry::ToString() const {
 }
 
 void ExportSeries(const OptimizerTelemetry& t, obs::SeriesSink& sink) {
-  sink.Add("optimizer.memo.enabled", t.memo_enabled ? 1.0 : 0.0);
   sink.Add("optimizer.memo.full_hits", static_cast<double>(t.memo_full_hits));
   sink.Add("optimizer.memo.norm_hits", static_cast<double>(t.memo_norm_hits));
   sink.Add("optimizer.memo.misses", static_cast<double>(t.memo_misses));

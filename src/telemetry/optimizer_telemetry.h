@@ -19,7 +19,6 @@ namespace qo::telemetry {
 /// Snapshot of one engine's cross-config memo counters plus the process-wide
 /// interned-symbol count.
 struct OptimizerTelemetry {
-  bool memo_enabled = false;
   /// Whole compilations served from a matching footprint.
   uint64_t memo_full_hits = 0;
   /// Compilations that reused a stored normalized plan and reran only the
@@ -45,10 +44,8 @@ struct OptimizerTelemetry {
   std::string ToString() const;
 };
 
-/// Exports the snapshot as registry series ("optimizer.memo.enabled",
-/// "optimizer.memo.full_hits", ..., "optimizer.symbols"). The explicit
-/// enabled series distinguishes a disabled memo from an enabled memo that
-/// saw no traffic — both report zero hits.
+/// Exports the snapshot as registry series ("optimizer.memo.full_hits",
+/// ..., "optimizer.symbols").
 void ExportSeries(const OptimizerTelemetry& t, obs::SeriesSink& sink);
 
 }  // namespace qo::telemetry

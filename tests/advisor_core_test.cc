@@ -317,10 +317,8 @@ TEST(PipelineTest, MultiDayRunProducesConsistentReportsAndHints) {
   // share of those optimizer runs from a previously compiled config.
   telemetry::OptimizerTelemetry opt_telemetry =
       env.engine().optimizer_telemetry();
-  if (opt_telemetry.memo_enabled) {
-    EXPECT_GT(opt_telemetry.memo_full_hits + opt_telemetry.memo_norm_hits, 0u);
-    EXPECT_GT(opt_telemetry.interned_symbols, 2u);
-  }
+  EXPECT_GT(opt_telemetry.memo_full_hits + opt_telemetry.memo_norm_hits, 0u);
+  EXPECT_GT(opt_telemetry.interned_symbols, 2u);
 }
 
 TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
@@ -375,7 +373,7 @@ TEST(PipelineTest, HintedTemplatesCompileWithSingleFlip) {
     if (!hint.has_value()) continue;
     opt::RuleConfig config_with_hint = hint->ToConfig();
     EXPECT_EQ(config_with_hint.DiffFromDefault().size(), 1u);
-    auto compiled = env.engine().Compile(job, config_with_hint);
+    auto compiled = env.engine().CompileShared(job, config_with_hint);
     EXPECT_TRUE(compiled.ok()) << compiled.status();
   }
 }

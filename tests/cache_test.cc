@@ -1,7 +1,8 @@
 // Tests for the two-level compilation cache (src/cache/): sharded-LRU
-// semantics, fingerprint keys, failure caching, concurrency, and the
-// end-to-end guarantee that pipeline outputs are byte-identical with the
-// cache on, off, and at any thread count.
+// semantics, fingerprint keys, failure caching, concurrency, byte-identity
+// with the reference oracle (a direct front end + optimizer run), and the
+// end-to-end guarantee that pipeline outputs are byte-identical at any
+// thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -20,6 +21,7 @@
 #include "core/pipeline.h"
 #include "core/recommend.h"
 #include "experiments/experiments.h"
+#include "reference_compile.h"
 #include "sis/sis.h"
 #include "workload/workload.h"
 
@@ -164,9 +166,8 @@ TEST(FingerprintTest, OptionsFingerprintSeparatesEngines) {
             cache::OptimizerOptionsFingerprint(opt::OptimizerOptions{}));
 }
 
-/// Saves the QO_COMPILE_CACHE* environment on entry and restores it on exit,
-/// so this test cannot leak its values into (or strip the CI matrix leg's
-/// QO_COMPILE_CACHE=0 from) later tests in the binary.
+/// Saves the QO_COMPILE_CACHE_* environment on entry and restores it on
+/// exit, so this test cannot leak its values into later tests in the binary.
 class EnvGuard {
  public:
   EnvGuard() {
@@ -189,28 +190,23 @@ class EnvGuard {
 
  private:
   static constexpr const char* kUnset = "\x01unset";
-  static constexpr const char* kNames[] = {"QO_COMPILE_CACHE",
-                                           "QO_COMPILE_CACHE_CAPACITY",
+  static constexpr const char* kNames[] = {"QO_COMPILE_CACHE_CAPACITY",
                                            "QO_COMPILE_CACHE_SHARDS"};
   std::vector<std::pair<const char*, std::string>> saved_;
 };
 
 TEST(FingerprintTest, EnvKnobsParseAndDegrade) {
   EnvGuard guard;
-  setenv("QO_COMPILE_CACHE", "0", 1);
   setenv("QO_COMPILE_CACHE_CAPACITY", "128", 1);
   setenv("QO_COMPILE_CACHE_SHARDS", "4", 1);
-  cache::CompileCacheOptions off = cache::CompileCacheOptions::FromEnv();
-  EXPECT_FALSE(off.enabled);
-  EXPECT_EQ(off.compilation_capacity, 128u);
-  EXPECT_EQ(off.front_end_capacity, 32u);
-  EXPECT_EQ(off.num_shards, 4);
+  cache::CompileCacheOptions sized = cache::CompileCacheOptions::FromEnv();
+  EXPECT_EQ(sized.compilation_capacity, 128u);
+  EXPECT_EQ(sized.front_end_capacity, 32u);
+  EXPECT_EQ(sized.num_shards, 4);
 
-  setenv("QO_COMPILE_CACHE", "1", 1);
   setenv("QO_COMPILE_CACHE_CAPACITY", "not-a-number", 1);
-  cache::CompileCacheOptions on = cache::CompileCacheOptions::FromEnv();
-  EXPECT_TRUE(on.enabled);
-  EXPECT_EQ(on.compilation_capacity,
+  cache::CompileCacheOptions fallback = cache::CompileCacheOptions::FromEnv();
+  EXPECT_EQ(fallback.compilation_capacity,
             cache::CompileCacheOptions{}.compilation_capacity);
 }
 
@@ -224,16 +220,9 @@ std::vector<workload::JobInstance> Jobs(int templates = 12, int jobs = 24) {
   return driver.DayJobs(0);
 }
 
+/// An engine with the default cache sizes, whatever the environment says.
 engine::ScopeEngine CachedEngine() {
-  cache::CompileCacheOptions options;
-  options.enabled = true;
-  return engine::ScopeEngine({}, {}, options);
-}
-
-engine::ScopeEngine UncachedEngine() {
-  cache::CompileCacheOptions options;
-  options.enabled = false;
-  return engine::ScopeEngine({}, {}, options);
+  return engine::ScopeEngine({}, {}, cache::CompileCacheOptions{});
 }
 
 /// Full-fidelity serialization of a compilation for byte-identity checks.
@@ -243,9 +232,8 @@ std::string Serialize(const opt::CompilationOutput& out) {
   return out.plan.ToString() + "|" + cost + "|" + out.signature.ToString();
 }
 
-TEST(CompilationCacheTest, CachedEqualsUncachedAcrossConfigs) {
+TEST(CompilationCacheTest, CachedEqualsReferenceAcrossConfigs) {
   engine::ScopeEngine cached = CachedEngine();
-  engine::ScopeEngine uncached = UncachedEngine();
   std::vector<opt::RuleConfig> configs = {
       opt::RuleConfig::Default(),
       opt::RuleConfig::DefaultWithFlip(opt::rules::kEagerAggregationLeft),
@@ -255,27 +243,24 @@ TEST(CompilationCacheTest, CachedEqualsUncachedAcrossConfigs) {
   };
   for (const auto& job : Jobs()) {
     for (const auto& config : configs) {
-      auto a = cached.Compile(job, config);
-      auto b = uncached.Compile(job, config);
+      auto a = cached.CompileShared(job, config);
+      auto b = ReferenceCompile(job, config);
       ASSERT_EQ(a.ok(), b.ok()) << job.job_id;
       if (!a.ok()) {
         // Failures must be identical too (the span fix-point observes them).
         EXPECT_EQ(a.status(), b.status()) << job.job_id;
         continue;
       }
-      EXPECT_EQ(Serialize(*a), Serialize(*b)) << job.job_id;
+      EXPECT_EQ(Serialize(**a), Serialize(*b)) << job.job_id;
       // And the cached engine must keep answering identically from cache.
-      auto again = cached.Compile(job, config);
+      auto again = cached.CompileShared(job, config);
       ASSERT_TRUE(again.ok());
-      EXPECT_EQ(Serialize(*a), Serialize(*again)) << job.job_id;
+      EXPECT_EQ(Serialize(**a), Serialize(**again)) << job.job_id;
     }
   }
   telemetry::CompileCacheTelemetry t = cached.compile_cache_telemetry();
-  EXPECT_TRUE(t.enabled);
   EXPECT_GT(t.compilations.hits, 0u);
   EXPECT_GT(t.compilations.misses, 0u);
-  EXPECT_FALSE(uncached.compile_cache_enabled());
-  EXPECT_EQ(uncached.compile_cache_telemetry().compilations.lookups(), 0u);
 }
 
 TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
@@ -313,12 +298,11 @@ TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
 
 TEST(CompilationCacheTest, ParseErrorsAreCachedAndIdentical) {
   engine::ScopeEngine cached = CachedEngine();
-  engine::ScopeEngine uncached = UncachedEngine();
   workload::JobInstance job = Jobs(4, 4)[0];
   job.script = "THIS IS NOT SCOPE";
-  auto a = cached.Compile(job, opt::RuleConfig::Default());
-  auto b = cached.Compile(job, opt::RuleConfig::Default());
-  auto c = uncached.Compile(job, opt::RuleConfig::Default());
+  auto a = cached.CompileShared(job, opt::RuleConfig::Default());
+  auto b = cached.CompileShared(job, opt::RuleConfig::Default());
+  auto c = ReferenceCompile(job, opt::RuleConfig::Default());
   ASSERT_FALSE(a.ok());
   EXPECT_EQ(a.status(), b.status());
   EXPECT_EQ(a.status(), c.status());
@@ -326,13 +310,12 @@ TEST(CompilationCacheTest, ParseErrorsAreCachedAndIdentical) {
 
 TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
   cache::CompileCacheOptions options;
-  options.enabled = true;
   options.compilation_capacity = 16;
   options.front_end_capacity = 8;
   options.num_shards = 2;
   engine::ScopeEngine engine({}, {}, options);
   for (const auto& job : Jobs(16, 64)) {
-    auto out = engine.Compile(job, opt::RuleConfig::Default());
+    auto out = engine.CompileShared(job, opt::RuleConfig::Default());
     (void)out;
   }
   telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
@@ -344,11 +327,10 @@ TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
 
 TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
   engine::ScopeEngine cached = CachedEngine();
-  engine::ScopeEngine uncached = UncachedEngine();
   std::vector<workload::JobInstance> jobs = Jobs(8, 32);
   std::vector<std::string> serial(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    auto out = uncached.Compile(jobs[i], opt::RuleConfig::Default());
+    auto out = ReferenceCompile(jobs[i], opt::RuleConfig::Default());
     ASSERT_TRUE(out.ok());
     serial[i] = Serialize(*out);
   }
@@ -403,7 +385,7 @@ TEST(CompilationCacheTest, EvaluateFlipToleratesHandBuiltFeatures) {
 
 // ---------------------------------------------------------------------------
 // End to end: fig10-style pipeline output must be byte-identical across
-// cache on/off and thread counts (the bar runtime_test set for threading).
+// thread counts, where the shared cache sees a different access order.
 // ---------------------------------------------------------------------------
 
 /// Everything externally visible from a mini fig10 run: per-day pipeline
@@ -415,13 +397,11 @@ struct MiniFig10Output {
   std::string eval_view;
 };
 
-MiniFig10Output RunMiniFig10(int threads, int compile_cache) {
+MiniFig10Output RunMiniFig10(int threads) {
   experiments::ExperimentEnv env({.num_templates = 24,
                                   .jobs_per_day = 48,
                                   .seed = 31,
-                                  .threads = threads,
-                                  .compile_cache = compile_cache});
-  EXPECT_EQ(env.engine().compile_cache_enabled(), compile_cache == 1);
+                                  .threads = threads});
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
   config.flighting.total_budget_machine_hours = 1e6;
@@ -462,25 +442,17 @@ MiniFig10Output RunMiniFig10(int threads, int compile_cache) {
   return out;
 }
 
-TEST(CompilationCacheTest, PipelineOutputIdenticalAcrossCacheAndThreads) {
-  MiniFig10Output reference = RunMiniFig10(/*threads=*/1, /*compile_cache=*/1);
+TEST(CompilationCacheTest, PipelineOutputIdenticalAcrossThreads) {
+  MiniFig10Output reference = RunMiniFig10(/*threads=*/1);
   EXPECT_FALSE(reference.reports.empty());
   EXPECT_FALSE(reference.eval_view.empty());
   // The pipeline must actually have produced steering output to compare.
   EXPECT_FALSE(reference.sis_files.empty());
-  for (int compile_cache : {1, 0}) {
-    for (int threads : {1, 4}) {
-      if (compile_cache == 1 && threads == 1) continue;  // the reference
-      MiniFig10Output run = RunMiniFig10(threads, compile_cache);
-      EXPECT_EQ(run.reports, reference.reports)
-          << "cache=" << compile_cache << " threads=" << threads;
-      EXPECT_EQ(run.sis_files, reference.sis_files)
-          << "cache=" << compile_cache << " threads=" << threads;
-      EXPECT_EQ(run.active_hints, reference.active_hints);
-      EXPECT_EQ(run.eval_view, reference.eval_view)
-          << "cache=" << compile_cache << " threads=" << threads;
-    }
-  }
+  MiniFig10Output run = RunMiniFig10(/*threads=*/4);
+  EXPECT_EQ(run.reports, reference.reports);
+  EXPECT_EQ(run.sis_files, reference.sis_files);
+  EXPECT_EQ(run.active_hints, reference.active_hints);
+  EXPECT_EQ(run.eval_view, reference.eval_view);
 }
 
 }  // namespace

@@ -65,11 +65,11 @@ TEST(EngineIntegrationTest, AAVarianceLatencyHighPnHoursBounded) {
   auto jobs = driver.DayJobs(0);
   std::vector<double> latency_cv, pn_cv;
   for (const auto& job : jobs) {
-    auto compiled = engine.Compile(job, opt::RuleConfig::Default());
+    auto compiled = engine.CompileShared(job, opt::RuleConfig::Default());
     ASSERT_TRUE(compiled.ok());
     RunningStats lat, pn;
     for (uint64_t run = 0; run < 10; ++run) {
-      auto m = engine.Execute(job, compiled->plan, run);
+      auto m = engine.Execute(job, **compiled, run);
       lat.Add(m.latency_sec);
       pn.Add(m.pn_hours);
     }
@@ -87,10 +87,10 @@ TEST(EngineIntegrationTest, IoBytesAreDeterministicAcrossAARuns) {
                                    .seed = 5});
   engine::ScopeEngine engine;
   for (const auto& job : driver.DayJobs(0)) {
-    auto compiled = engine.Compile(job, opt::RuleConfig::Default());
+    auto compiled = engine.CompileShared(job, opt::RuleConfig::Default());
     ASSERT_TRUE(compiled.ok());
-    auto m1 = engine.Execute(job, compiled->plan, 1);
-    auto m2 = engine.Execute(job, compiled->plan, 2);
+    auto m1 = engine.Execute(job, **compiled, 1);
+    auto m2 = engine.Execute(job, **compiled, 2);
     // Sec. 4.3: "data read and data written remain constant" across runs.
     EXPECT_DOUBLE_EQ(m1.data_read_bytes, m2.data_read_bytes);
     EXPECT_DOUBLE_EQ(m1.data_written_bytes, m2.data_written_bytes);

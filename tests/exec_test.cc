@@ -1,12 +1,14 @@
 // Execution simulator tests: stage decomposition (including shared-subtree
-// DAG golden cases), metric determinism, byte-identity of the prepared
-// execution path against the legacy per-run decomposition (standalone, under
-// concurrency, and through the full fig10-12/table2 pipeline), and the
-// variability model's statistical structure.
+// DAG golden cases and a shared scan whose stages wait on each other),
+// metric determinism, byte-identity of reused profiles, batched runs and
+// the engine's cached path against fresh profiles and the reference
+// compilation (standalone, under concurrency, and through the full
+// fig10-12/table2 pipeline), and the variability model's statistical
+// structure.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "exec/cluster.h"
 #include "experiments/experiments.h"
 #include "optimizer/optimizer.h"
+#include "reference_compile.h"
 #include "scope/compiler.h"
 #include "workload/workload.h"
 
@@ -34,6 +37,12 @@ void ExpectMetricsBitEqual(const JobMetrics& a, const JobMetrics& b) {
   EXPECT_EQ(a.avg_memory_bytes, b.avg_memory_bytes);
   EXPECT_EQ(a.cpu_hours, b.cpu_hours);
   EXPECT_EQ(a.io_hours, b.io_hours);
+}
+
+/// One run of `plan` through a freshly prepared profile.
+JobMetrics RunOnce(const ClusterSimulator& sim, const opt::PhysicalPlan& plan,
+                   const scope::Catalog& catalog, uint64_t seed) {
+  return sim.Execute(sim.Prepare(plan, catalog), seed);
 }
 
 scope::Catalog SimCatalog() {
@@ -106,8 +115,8 @@ TEST(ClusterSimTest, SameSeedSameMetrics) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
-  JobMetrics a = sim.Execute(plan, catalog, 123);
-  JobMetrics b = sim.Execute(plan, catalog, 123);
+  JobMetrics a = RunOnce(sim, plan, catalog, 123);
+  JobMetrics b = RunOnce(sim, plan, catalog, 123);
   EXPECT_DOUBLE_EQ(a.latency_sec, b.latency_sec);
   EXPECT_DOUBLE_EQ(a.pn_hours, b.pn_hours);
   EXPECT_EQ(a.vertices, b.vertices);
@@ -117,8 +126,8 @@ TEST(ClusterSimTest, ByteCountersAreSeedIndependent) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
-  JobMetrics a = sim.Execute(plan, catalog, 1);
-  JobMetrics b = sim.Execute(plan, catalog, 2);
+  JobMetrics a = RunOnce(sim, plan, catalog, 1);
+  JobMetrics b = RunOnce(sim, plan, catalog, 2);
   EXPECT_DOUBLE_EQ(a.data_read_bytes, b.data_read_bytes);
   EXPECT_DOUBLE_EQ(a.data_written_bytes, b.data_written_bytes);
   EXPECT_EQ(a.vertices, b.vertices);
@@ -132,7 +141,7 @@ TEST(ClusterSimTest, LatencyVarianceExceedsPnHoursVariance) {
   ClusterSimulator sim;
   RunningStats latency, pn;
   for (uint64_t seed = 0; seed < 40; ++seed) {
-    JobMetrics m = sim.Execute(plan, catalog, seed);
+    JobMetrics m = RunOnce(sim, plan, catalog, seed);
     latency.Add(m.latency_sec);
     pn.Add(m.pn_hours);
   }
@@ -145,7 +154,7 @@ TEST(ClusterSimTest, PnHoursIsCpuPlusIo) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
-  JobMetrics m = sim.Execute(plan, catalog, 5);
+  JobMetrics m = RunOnce(sim, plan, catalog, 5);
   EXPECT_NEAR(m.pn_hours, m.cpu_hours + m.io_hours, 1e-12);
   EXPECT_GT(m.cpu_hours, 0);
   EXPECT_GT(m.io_hours, 0);
@@ -161,8 +170,8 @@ TEST(ClusterSimTest, MoreTokensReduceLatencyOfWideJobs) {
   // Average over seeds to defeat noise.
   double lat_few = 0, lat_many = 0;
   for (uint64_t s = 0; s < 20; ++s) {
-    lat_few += ClusterSimulator(few).Execute(plan, catalog, s).latency_sec;
-    lat_many += ClusterSimulator(many).Execute(plan, catalog, s).latency_sec;
+    lat_few += RunOnce(ClusterSimulator(few), plan, catalog, s).latency_sec;
+    lat_many += RunOnce(ClusterSimulator(many), plan, catalog, s).latency_sec;
   }
   EXPECT_LT(lat_many, lat_few);
 }
@@ -243,26 +252,134 @@ TEST(StageDecompositionTest, SharedSubtreeDagGolden) {
 // Prepared execution: byte-identity, batching, concurrency, counters.
 // ---------------------------------------------------------------------------
 
-TEST(PreparedExecutionTest, ByteIdenticalToUnpreparedAcrossSeeds) {
+/// A shared scan read both directly and through an exchange — an ordinary
+/// shared-scan plan whose two stages each wait on the other:
+///
+///   Output(4) <- HashJoin(3) <- Scan(0)
+///                            <- ExchangeShuffle(2) <- Filter(1) <- Scan(0)
+opt::PhysicalPlan SharedScanCycle() {
+  opt::PhysicalPlan plan;
+  auto add = [&](opt::PhysOpKind kind, std::vector<int> children, int parts,
+                 double rows, double bytes) {
+    opt::PhysicalNode n;
+    n.kind = kind;
+    n.children = std::move(children);
+    n.partitions = parts;
+    n.true_rows = rows;
+    n.true_bytes = bytes;
+    return plan.AddNode(std::move(n));
+  };
+  int scan = add(opt::PhysOpKind::kScan, {}, 8, 1e6, 8e7);
+  int filter = add(opt::PhysOpKind::kFilter, {scan}, 8, 2e5, 1.6e7);
+  int exchange =
+      add(opt::PhysOpKind::kExchangeShuffle, {filter}, 4, 2e5, 1.6e7);
+  int join = add(opt::PhysOpKind::kHashJoin, {scan, exchange}, 4, 5e5, 6e7);
+  int out = add(opt::PhysOpKind::kOutput, {join}, 1, 5e5, 6e7);
+  plan.roots = {out};
+  return plan;
+}
+
+TEST(StageDecompositionTest, SharedScanStagesWaitOnEachOther) {
+  opt::PhysicalPlan plan = SharedScanCycle();
+  scope::Catalog catalog;
+  auto stages = DecomposeIntoStages(plan, catalog, {});
+  ASSERT_EQ(stages.size(), 2u);
+  // The scan runs in the join's stage, the filter behind the exchange reads
+  // it from there: stage 0 waits on stage 1 and stage 1 on stage 0.
+  EXPECT_EQ(stages[0].node_ids, (std::vector<int>{4, 3, 0}));
+  EXPECT_EQ(stages[1].node_ids, (std::vector<int>{2, 1}));
+  EXPECT_EQ(stages[0].upstream, (std::vector<int>{1}));
+  EXPECT_EQ(stages[1].upstream, (std::vector<int>{0}));
+}
+
+TEST(PreparedExecutionTest, SharedScanCycleDropsBackEdge) {
+  opt::PhysicalPlan plan = SharedScanCycle();
+  scope::Catalog catalog;
+  ExecutionProfile profile = ClusterSimulator().Prepare(plan, catalog);
+  ASSERT_EQ(profile.stages.size(), 2u);
+  EXPECT_EQ(profile.stages[0].upstream, (std::vector<int>{1}));
+  EXPECT_TRUE(profile.stages[1].upstream.empty());
+  EXPECT_EQ(profile.topo_order, (std::vector<int>{1, 0}));
+  EXPECT_EQ(profile.upstream_offsets, (std::vector<int32_t>{0, 1, 1}));
+  EXPECT_EQ(profile.upstream_list, (std::vector<int32_t>{1}));
+}
+
+/// (seed, latency_sec bits, pn_hours bits) of the shared-scan plan, as the
+/// memoized recursion that used to handle cyclic stage graphs computed them.
+struct PinnedRun {
+  uint64_t seed;
+  uint64_t latency_bits;
+  uint64_t pn_hours_bits;
+};
+constexpr PinnedRun kSharedScanPinned[] = {
+    {0, 0x4037f320b93dd08aULL, 0x3f3def08bed9ef46ULL},
+    {7, 0x403ee92e57d84f0dULL, 0x3f398537a9d8522fULL},
+    {64, 0x403ab8f4a95c8496ULL, 0x3f397db3eec1e349ULL},
+    {1000, 0x4043b89cced762caULL, 0x3f397533187365d3ULL},
+};
+
+TEST(PreparedExecutionTest, SharedScanCycleMatchesPinnedRecursion) {
+  opt::PhysicalPlan plan = SharedScanCycle();
+  scope::Catalog catalog;
+  ClusterSimulator sim;
+  ExecutionProfile profile = sim.Prepare(plan, catalog);
+  for (const PinnedRun& pin : kSharedScanPinned) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed));
+    JobMetrics m = sim.Execute(profile, pin.seed);
+    EXPECT_EQ(std::bit_cast<uint64_t>(m.latency_sec), pin.latency_bits);
+    EXPECT_EQ(std::bit_cast<uint64_t>(m.pn_hours), pin.pn_hours_bits);
+  }
+}
+
+TEST(PreparedExecutionTest, SharedScanCycleBatchedEqualsSingleRuns) {
+  // 67 runs: sixteen 4-lane blocks plus a 3-run tail.
+  constexpr int kRuns = 67;
+  opt::PhysicalPlan plan = SharedScanCycle();
+  scope::Catalog catalog;
+  ClusterSimulator sim;
+  ExecutionProfile profile = sim.Prepare(plan, catalog);
+  std::vector<JobMetrics> single;
+  for (int i = 0; i < kRuns; ++i) {
+    single.push_back(sim.Execute(profile, static_cast<uint64_t>(i)));
+  }
+  for (const kernels::KernelTable* kt :
+       {&kernels::ScalarTable(), &kernels::Avx2Table()}) {
+    kernels::SetActiveTableForTest(kt);
+    std::vector<JobMetrics> batch = sim.ExecuteRuns(profile, 0, kRuns);
+    ASSERT_EQ(batch.size(), single.size()) << kt->name;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(std::string(kt->name) + " run " + std::to_string(i));
+      ExpectMetricsBitEqual(batch[i], single[i]);
+    }
+    for (const PinnedRun& pin : kSharedScanPinned) {
+      if (pin.seed >= static_cast<uint64_t>(kRuns)) continue;
+      EXPECT_EQ(std::bit_cast<uint64_t>(batch[pin.seed].latency_sec),
+                pin.latency_bits)
+          << kt->name << " seed " << pin.seed;
+    }
+  }
+  kernels::SetActiveTableForTest(nullptr);
+}
+
+TEST(PreparedExecutionTest, ReusedProfileEqualsFreshProfileAcrossSeeds) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
   ClusterSimulator sim;
   ExecutionProfile profile = sim.Prepare(plan, catalog);
-  EXPECT_FALSE(profile.has_cycle);
   EXPECT_EQ(profile.topo_order.size(), profile.stages.size());
   for (uint64_t seed = 0; seed < 64; ++seed) {
-    ExpectMetricsBitEqual(sim.Execute(plan, catalog, seed),
+    ExpectMetricsBitEqual(RunOnce(sim, plan, catalog, seed),
                           sim.Execute(profile, seed));
   }
 }
 
-TEST(PreparedExecutionTest, SharedSubtreeDagByteIdentical) {
+TEST(PreparedExecutionTest, SharedSubtreeDagReusedProfileEqualsFresh) {
   opt::PhysicalPlan plan = SharedSubtreeDag();
   scope::Catalog catalog;
   ClusterSimulator sim;
   ExecutionProfile profile = sim.Prepare(plan, catalog);
   for (uint64_t seed = 100; seed < 132; ++seed) {
-    ExpectMetricsBitEqual(sim.Execute(plan, catalog, seed),
+    ExpectMetricsBitEqual(RunOnce(sim, plan, catalog, seed),
                           sim.Execute(profile, seed));
   }
 }
@@ -323,9 +440,8 @@ TEST(PreparedExecutionTest, TelemetryCountersTrack) {
   sim.Execute(profile, 1);
   sim.ExecuteRuns(profile, 2, 3);
   EXPECT_EQ(sim.prepared_runs(), 4u);
-  EXPECT_EQ(sim.unprepared_runs(), 0u);
-  sim.Execute(plan, catalog, 1);  // legacy path: prepares inline
-  EXPECT_EQ(sim.unprepared_runs(), 1u);
+  RunOnce(sim, plan, catalog, 1);
+  EXPECT_EQ(sim.prepared_runs(), 5u);
   EXPECT_EQ(sim.profile_prepares(), 2u);
 }
 
@@ -359,47 +475,36 @@ const workload::JobInstance& EngineTestJob() {
   return *job;
 }
 
-TEST(EnginePreparedTest, ExecuteOverloadsAndKnobAgree) {
-  // Pin both knobs so the test is independent of the CI matrix leg's
-  // QO_PREPARED_EXEC / QO_COMPILE_CACHE environment.
-  engine::ScopeEngine prepared({}, {}, cache::CompileCacheOptions::FromEnv(),
-                               {.prepared = true});
-  engine::ScopeEngine legacy({}, {}, cache::CompileCacheOptions::FromEnv(),
-                             {.prepared = false});
-  EXPECT_TRUE(prepared.prepared_exec_enabled());
-  EXPECT_FALSE(legacy.prepared_exec_enabled());
+TEST(EnginePreparedTest, CachedRunsMatchReferenceCompilation) {
+  // The engine's cached compilation and its reused profile against the
+  // reference oracle: a direct compile outside the cache, whose own profile
+  // is prepared on its first run.
+  engine::ScopeEngine engine;
   const workload::JobInstance& job = EngineTestJob();
-  auto compiled = prepared.CompileShared(job, opt::RuleConfig::Default());
+  auto compiled = engine.CompileShared(job, opt::RuleConfig::Default());
   ASSERT_TRUE(compiled.ok());
-  auto compiled_legacy = legacy.CompileShared(job, opt::RuleConfig::Default());
-  ASSERT_TRUE(compiled_legacy.ok());
+  auto reference = ReferenceCompile(job, opt::RuleConfig::Default());
+  ASSERT_TRUE(reference.ok());
   for (uint64_t salt : {0ull, 1ull, 17ull, 123456789ull}) {
-    JobMetrics via_profile = prepared.Execute(job, **compiled, salt);
-    JobMetrics via_plan = prepared.Execute(job, (*compiled)->plan, salt);
-    JobMetrics via_legacy_engine =
-        legacy.Execute(job, **compiled_legacy, salt);
-    ExpectMetricsBitEqual(via_profile, via_plan);
-    ExpectMetricsBitEqual(via_profile, via_legacy_engine);
+    ExpectMetricsBitEqual(engine.Execute(job, **compiled, salt),
+                          engine.Execute(job, *reference, salt));
   }
-  std::vector<JobMetrics> batch = prepared.ExecuteRuns(job, **compiled, 50, 8);
+  std::vector<JobMetrics> batch = engine.ExecuteRuns(job, **compiled, 50, 8);
   ASSERT_EQ(batch.size(), 8u);
   for (int i = 0; i < 8; ++i) {
-    ExpectMetricsBitEqual(batch[i], prepared.Execute(job, **compiled, 50 + i));
+    ExpectMetricsBitEqual(batch[i], engine.Execute(job, *reference, 50 + i));
   }
 }
 
 TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
-  // The compile cache must be on regardless of the CI matrix leg's
-  // QO_COMPILE_CACHE: slot reuse rides on both runs sharing one cached
-  // CompilationOutput.
-  engine::ScopeEngine engine({}, {}, {.enabled = true}, {});
+  // Slot reuse rides on both runs sharing one cached CompilationOutput.
+  engine::ScopeEngine engine;
   const workload::JobInstance& job = EngineTestJob();
   auto first = engine.Run(job, opt::RuleConfig::Default(), 1);
   ASSERT_TRUE(first.ok());
   auto again = engine.Run(job, opt::RuleConfig::Default(), 2);
   ASSERT_TRUE(again.ok());
   telemetry::ExecProfileTelemetry t = engine.exec_profile_telemetry();
-  EXPECT_TRUE(t.prepared_enabled);
   // The compilation cache hands back the same CompilationOutput, so the
   // second run reuses the profile prepared by the first.
   EXPECT_EQ(t.prepares, 1u);
@@ -411,22 +516,11 @@ TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
   EXPECT_EQ(profile.get(), first->compilation->exec_profile.Load().get());
 }
 
-TEST(EnginePreparedTest, FromEnvKnobParses) {
-  const char* saved = std::getenv("QO_PREPARED_EXEC");
-  setenv("QO_PREPARED_EXEC", "0", 1);
-  EXPECT_FALSE(engine::ExecOptions::FromEnv().prepared);
-  setenv("QO_PREPARED_EXEC", "1", 1);
-  EXPECT_TRUE(engine::ExecOptions::FromEnv().prepared);
-  unsetenv("QO_PREPARED_EXEC");
-  EXPECT_TRUE(engine::ExecOptions::FromEnv().prepared);
-  if (saved != nullptr) setenv("QO_PREPARED_EXEC", saved, 1);
-}
-
 TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   // A profile bakes in scan sizes from the catalog; if a job's statistics
-  // drift, the prepared overload must re-prepare rather than serve metrics
-  // for the old table sizes.
-  engine::ScopeEngine engine({}, {}, {.enabled = true}, {.prepared = true});
+  // drift, Execute must re-prepare rather than serve metrics for the old
+  // table sizes.
+  engine::ScopeEngine engine;
   workload::JobInstance job;
   job.job_id = "drift_job";
   job.script = R"(
@@ -444,25 +538,25 @@ TEST(EnginePreparedTest, CatalogDriftInvalidatesProfileReuse) {
   scope::TableStats fact = *job.catalog.Lookup("fact").value();
   fact.true_rows *= 2;
   job.catalog.RegisterTable("fact", fact);
-  JobMetrics after_prepared = engine.Execute(job, **compiled, 3);
-  JobMetrics after_plan = engine.Execute(job, (*compiled)->plan, 3);
-  // The prepared path must track the drifted catalog exactly like the
-  // legacy path does (and the drift must actually change the metrics).
-  ExpectMetricsBitEqual(after_prepared, after_plan);
-  EXPECT_NE(before.pn_hours, after_prepared.pn_hours);
+  JobMetrics after = engine.Execute(job, **compiled, 3);
+  // A copy of the compilation starts with an empty profile slot, so running
+  // it prepares a profile fresh from the drifted catalog. The cached
+  // compilation must track the drift exactly like that (and the drift must
+  // actually change the metrics).
+  opt::CompilationOutput fresh = **compiled;
+  ASSERT_EQ(fresh.exec_profile.Load(), nullptr);
+  ExpectMetricsBitEqual(after, engine.Execute(job, fresh, 3));
+  EXPECT_NE(before.pn_hours, after.pn_hours);
 }
 
 // ---------------------------------------------------------------------------
 // Full pipeline byte-identity: the fig10-12/table2 aggregate-impact runs
-// (train + eval) must be unchanged by prepared execution, with the compile
-// cache on or off and at 1 or 4 worker threads.
+// (train + eval) must be the same at 1 or 4 worker threads, where the shared
+// caches and profile slots see different access orders.
 // ---------------------------------------------------------------------------
 
-experiments::AggregateImpactResult RunPipeline(int prepared, int compile_cache,
-                                               int threads) {
-  experiments::ExperimentEnv env({.threads = threads,
-                                  .compile_cache = compile_cache,
-                                  .prepared_exec = prepared});
+experiments::AggregateImpactResult RunPipeline(int threads) {
+  experiments::ExperimentEnv env({.threads = threads});
   return experiments::RunAggregateImpact(env, /*train_days=*/12,
                                          /*eval_days=*/3);
 }
@@ -480,27 +574,13 @@ void ExpectAggregateEqual(const experiments::AggregateImpactResult& a,
   EXPECT_EQ(a.vertices_deltas, b.vertices_deltas) << label;
 }
 
-TEST(PreparedPipelineTest, AggregateImpactByteIdenticalAcrossMatrix) {
-  experiments::AggregateImpactResult reference = RunPipeline(
-      /*prepared=*/1, /*compile_cache=*/1, /*threads=*/1);
+TEST(PreparedPipelineTest, AggregateImpactByteIdenticalAcrossThreads) {
+  experiments::AggregateImpactResult reference = RunPipeline(/*threads=*/1);
   // The pipeline must have produced hints and matched jobs for the
   // comparison to mean anything.
   ASSERT_GT(reference.matched_jobs, 0);
   ASSERT_GT(reference.active_hints, 0u);
-  for (int compile_cache : {1, 0}) {
-    for (int threads : {1, 4}) {
-      char label[64];
-      std::snprintf(label, sizeof(label), "cache=%d threads=%d", compile_cache,
-                    threads);
-      experiments::AggregateImpactResult unprepared =
-          RunPipeline(0, compile_cache, threads);
-      ExpectAggregateEqual(reference, unprepared, label);
-      if (compile_cache == 1 && threads == 1) continue;  // the reference
-      experiments::AggregateImpactResult prepared =
-          RunPipeline(1, compile_cache, threads);
-      ExpectAggregateEqual(reference, prepared, label);
-    }
-  }
+  ExpectAggregateEqual(reference, RunPipeline(/*threads=*/4), "threads=4");
 }
 
 TEST(KernelTableExecTest, ExecuteRunsBitIdenticalAcrossTables) {
@@ -533,8 +613,7 @@ TEST(KernelTableExecTest, PipelineByteIdenticalAcrossTablesAndThreads) {
   // fig10-12/table2 aggregate-impact pipeline at 1 and 4 worker threads
   // must be byte-identical under the scalar and AVX2 kernel tables.
   kernels::SetActiveTableForTest(&kernels::ScalarTable());
-  experiments::AggregateImpactResult reference =
-      RunPipeline(/*prepared=*/1, /*compile_cache=*/1, /*threads=*/1);
+  experiments::AggregateImpactResult reference = RunPipeline(/*threads=*/1);
   ASSERT_GT(reference.matched_jobs, 0);
   for (const kernels::KernelTable* kt :
        {&kernels::ScalarTable(), &kernels::Avx2Table()}) {
@@ -544,7 +623,7 @@ TEST(KernelTableExecTest, PipelineByteIdenticalAcrossTablesAndThreads) {
       char label[64];
       std::snprintf(label, sizeof(label), "table=%s threads=%d", kt->name,
                     threads);
-      ExpectAggregateEqual(reference, RunPipeline(1, 1, threads), label);
+      ExpectAggregateEqual(reference, RunPipeline(threads), label);
     }
   }
   kernels::SetActiveTableForTest(nullptr);
@@ -564,8 +643,8 @@ TEST_P(NoiseKnobTest, HigherCongestionSigmaRaisesLatencyCv) {
   noisy.stage_congestion_sigma = GetParam();
   RunningStats cv_quiet, cv_noisy;
   for (uint64_t s = 0; s < 30; ++s) {
-    cv_quiet.Add(ClusterSimulator(quiet).Execute(plan, catalog, s).latency_sec);
-    cv_noisy.Add(ClusterSimulator(noisy).Execute(plan, catalog, s).latency_sec);
+    cv_quiet.Add(RunOnce(ClusterSimulator(quiet), plan, catalog, s).latency_sec);
+    cv_noisy.Add(RunOnce(ClusterSimulator(noisy), plan, catalog, s).latency_sec);
   }
   EXPECT_GT(cv_noisy.cv(), cv_quiet.cv());
 }

@@ -39,9 +39,9 @@ TEST(MultiFlipTest, NeverWorseThanDefaultAndMonotone) {
     // The returned configuration is compilable and reproduces the cost.
     if (!result->flips.empty()) {
       ++with_flips;
-      auto compiled = engine.Compile(job, result->ToConfig());
+      auto compiled = engine.CompileShared(job, result->ToConfig());
       ASSERT_TRUE(compiled.ok());
-      EXPECT_NEAR(compiled->est_cost, result->est_cost_final,
+      EXPECT_NEAR((*compiled)->est_cost, result->est_cost_final,
                   1e-9 * result->est_cost_final);
       EXPECT_EQ(result->ToConfig().DiffFromDefault().size(),
                 result->flips.size());
@@ -64,8 +64,10 @@ TEST(MultiFlipTest, HorizonOneMatchesBestSingleFlip) {
     double best_single = multi->est_cost_default;
     for (int bit : span->span.Positions()) {
       auto compiled =
-          engine.Compile(job, opt::RuleConfig::DefaultWithFlip(bit));
-      if (compiled.ok()) best_single = std::min(best_single, compiled->est_cost);
+          engine.CompileShared(job, opt::RuleConfig::DefaultWithFlip(bit));
+      if (compiled.ok()) {
+        best_single = std::min(best_single, (*compiled)->est_cost);
+      }
     }
     EXPECT_NEAR(multi->est_cost_final, best_single,
                 1e-3 * multi->est_cost_default + 1e-12);

@@ -407,9 +407,9 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   }
   MetricsSnapshot snap = Registry::Get().Snapshot();
   // One representative series per ported surface.
-  EXPECT_TRUE(snap.HasSeries("cache.enabled"));
-  EXPECT_TRUE(snap.HasSeries("optimizer.memo.enabled"));
-  EXPECT_TRUE(snap.HasSeries("exec.prepared_enabled"));
+  EXPECT_TRUE(snap.HasSeries("cache.compilations.hits"));
+  EXPECT_TRUE(snap.HasSeries("optimizer.memo.hit_rate"));
+  EXPECT_TRUE(snap.HasSeries("exec.prepared_runs"));
   EXPECT_TRUE(snap.HasSeries("bandit.ranks"));
   EXPECT_TRUE(snap.HasSeries("bandit.retention_window"));
   EXPECT_TRUE(snap.HasSeries("flight.budget_total_hours"));

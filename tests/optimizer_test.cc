@@ -12,6 +12,7 @@
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
+#include "reference_compile.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
 
@@ -421,21 +422,16 @@ std::string OutputKey(const CompilationOutput& out) {
   return out.plan.ToString() + "|" + cost + "|" + out.signature.ToString();
 }
 
-TEST(CrossConfigMemoTest, OutputsIdenticalWithMemoOnAndOff) {
+TEST(CrossConfigMemoTest, OutputsIdenticalToReferenceCompile) {
   workload::JobInstance job = MemoJob();
-  engine::ScopeEngine with_memo({}, {}, {}, {},
-                                opt::CrossConfigMemoOptions{.enabled = true});
-  engine::ScopeEngine without_memo(
-      {}, {}, {}, {}, opt::CrossConfigMemoOptions{.enabled = false});
-  ASSERT_TRUE(with_memo.cross_config_memo_enabled());
-  ASSERT_FALSE(without_memo.cross_config_memo_enabled());
+  engine::ScopeEngine with_memo;
 
   for (const RuleConfig& config : MemoConfigs()) {
-    auto a = with_memo.Compile(job, config);
-    auto b = without_memo.Compile(job, config);
+    auto a = with_memo.CompileShared(job, config);
+    auto b = ReferenceCompile(job, config);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
-    EXPECT_EQ(OutputKey(*a), OutputKey(*b));
+    EXPECT_EQ(OutputKey(**a), OutputKey(*b));
   }
 
   // The config sweep must actually have exercised the memo: config 100 is
@@ -445,34 +441,29 @@ TEST(CrossConfigMemoTest, OutputsIdenticalWithMemoOnAndOff) {
   EXPECT_GT(t.memo_full_hits, 0u);
   EXPECT_GT(t.memo_norm_hits, 0u);
   EXPECT_GT(t.memo_misses, 0u);
-  EXPECT_EQ(without_memo.optimizer_telemetry().memo_lookups(), 0u);
 }
 
 TEST(CrossConfigMemoTest, ThreadCountDoesNotChangeOutputs) {
   workload::JobInstance job = MemoJob();
   std::vector<RuleConfig> configs = MemoConfigs();
 
-  // Reference: serial compile through a memo-enabled engine.
-  engine::ScopeEngine serial({}, {}, {}, {},
-                             opt::CrossConfigMemoOptions{.enabled = true});
   std::vector<std::string> expected;
   for (const RuleConfig& config : configs) {
-    auto out = serial.Compile(job, config);
+    auto out = ReferenceCompile(job, config);
     ASSERT_TRUE(out.ok()) << out.status();
     expected.push_back(OutputKey(*out));
   }
 
   // Same sweep fanned out over 4 worker threads, twice over so later
   // iterations race against fully warmed memo tiers.
-  engine::ScopeEngine threaded({}, {}, {}, {},
-                               opt::CrossConfigMemoOptions{.enabled = true});
+  engine::ScopeEngine threaded;
   runtime::ParallelRuntime pool({.num_threads = 4});
   std::vector<std::string> got = pool.TransformOrdered<std::string>(
       configs.size() * 2, [](size_t i) { return i; },
       [](size_t) { return 0.0; },
       [&](size_t i) {
-        auto out = threaded.Compile(job, configs[i % configs.size()]);
-        return out.ok() ? OutputKey(*out) : out.status().ToString();
+        auto out = threaded.CompileShared(job, configs[i % configs.size()]);
+        return out.ok() ? OutputKey(**out) : out.status().ToString();
       });
   ASSERT_EQ(got.size(), expected.size() * 2);
   for (size_t i = 0; i < got.size(); ++i) {
