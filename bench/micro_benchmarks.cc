@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <utility>
 
 #include "bandit/cb_model.h"
 #include "bandit/personalizer.h"
@@ -13,6 +14,7 @@
 #include "core/span.h"
 #include "engine/engine.h"
 #include "flighting/flighting.h"
+#include "obs/metrics.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
 #include "telemetry/workload_view.h"
@@ -169,14 +171,24 @@ void BM_OptimizeCrossConfigMemoHit(benchmark::State& state) {
   // Warm: the one real optimizer run whose footprint covers every flip.
   benchmark::DoNotOptimize(
       engine.CompileShared(Jobs()[0], opt::RuleConfig::Default()));
+  auto memo_counts = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+    const double hits = snap.SeriesValue("optimizer.memo.full_hits") +
+                        snap.SeriesValue("optimizer.memo.norm_hits");
+    return std::pair(hits, hits + snap.SeriesValue("optimizer.memo.misses"));
+  };
+  const auto [hits_before, lookups_before] = memo_counts();
   size_t i = 0;
   for (auto _ : state) {
     auto out = engine.CompileShared(Jobs()[0], configs[i % configs.size()]);
     benchmark::DoNotOptimize(out);
     ++i;
   }
-  auto t = engine.optimizer_telemetry();
-  state.counters["memo_hit_rate"] = t.memo_hit_rate();
+  const auto [hits, lookups] = memo_counts();
+  state.counters["memo_hit_rate"] =
+      lookups > lookups_before
+          ? (hits - hits_before) / (lookups - lookups_before)
+          : 0.0;
 }
 BENCHMARK(BM_OptimizeCrossConfigMemoHit);
 
@@ -300,7 +312,7 @@ void BM_PersonalizerRetrain(benchmark::State& state) {
       req.explore_uniform = true;
       req.precombined = combined;
       auto resp = service.Rank(req);
-      service.Reward(resp->event_id, k % 2 == 0 ? 1.5 : 0.5).ok();
+      service.Reward(resp->event, k % 2 == 0 ? 1.5 : 0.5).ok();
     }
     state.ResumeTiming();
     service.Retrain();

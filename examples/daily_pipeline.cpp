@@ -69,8 +69,7 @@ int main(int argc, char** argv) {
     report_writer =
         std::make_unique<obs::RunReportWriter>("daily_pipeline_report.jsonl");
   }
-  const std::string report_label =
-      !options.obs.label.empty() ? options.obs.label : "daily_pipeline";
+  const std::string report_label = obs::ObsLabelFromEnv("daily_pipeline");
 
   std::printf("%4s %6s %6s %9s %8s %8s %10s %6s %7s %5s\n", "day", "jobs",
               "spans", "forwarded", "flights", "validated", "hints(new)",
@@ -140,12 +139,14 @@ int main(int argc, char** argv) {
   }
 
   // Guardrail activity: watchdog reverts, quarantines still in cool-down,
-  // breaker trips and the chaos faults the pipeline absorbed. The guard
-  // config came from the AdvisorOptions snapshot (QO_GUARD + QO_FAULT_*).
+  // breaker trips and the chaos faults the pipeline absorbed, read from the
+  // registry's guard.* counters (they count even with QO_METRICS=0). The
+  // guard config came from the AdvisorOptions snapshot (QO_GUARD +
+  // QO_FAULT_*).
   advisor::QoAdvisorPipeline* pipeline = session->pipeline();
   if (pipeline != nullptr && pipeline->steering_guard().enabled()) {
     std::printf("\n%s",
-                pipeline->steering_guard().telemetry().ToString().c_str());
+                guard::GuardrailsText(obs::Registry::Get().Snapshot()).c_str());
     std::printf("  quarantines active on day %d: %zu\n", days,
                 pipeline->steering_guard().watchdog().ActiveQuarantines(days));
     std::printf("  steered-run fallbacks (injected compile faults): %llu\n",

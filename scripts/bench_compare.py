@@ -18,10 +18,11 @@ Both files use the schema written by scripts/bench_baseline.sh:
 
 When both sides have a <stem>.metrics.jsonl sibling (written by
 bench_baseline.sh from each bench's QO_OBS_REPORT snapshot), a drift report
-for cache/memo/reuse hit rates and span latency quantiles is printed after
-the wall-time table. Metrics drift is informational only — it never fails
-the gate (latency quantiles move with machine load; hit rates exist to
-explain wall-time movements, not to gate on their own).
+for cache/memo/reuse hit ratios (derived from the hit/miss counts on each
+side) and span latency quantiles is printed after the wall-time table.
+Metrics drift is informational only — it never fails the gate (latency
+quantiles move with machine load; hit ratios exist to explain wall-time
+movements, not to gate on their own).
 
 Rules:
   * A figure bench REGRESSES when its exit code turns nonzero, or its wall
@@ -110,12 +111,42 @@ def load_metrics(path):
     return per_label
 
 
-# Series with these suffixes are ratios worth eyeballing across runs.
-RATE_SUFFIXES = ("hit_rate", "reuse_rate", "occupancy", "utilization")
+# Ratios worth eyeballing across runs: (label, numerator series, denominator
+# series). The registry exports counts only, so each side's ratio is derived
+# from the counts of one snapshot.
+RATIOS = (
+    ("cache.front_end hit ratio", ("cache.front_end.hits",),
+     ("cache.front_end.hits", "cache.front_end.misses")),
+    ("cache.compilations hit ratio", ("cache.compilations.hits",),
+     ("cache.compilations.hits", "cache.compilations.misses")),
+    ("optimizer.memo hit ratio",
+     ("optimizer.memo.full_hits", "optimizer.memo.norm_hits"),
+     ("optimizer.memo.full_hits", "optimizer.memo.norm_hits",
+      "optimizer.memo.misses")),
+    ("exec profile reuse ratio", ("exec.profile_hits",),
+     ("exec.profile_hits", "exec.profile_misses")),
+    ("bandit combine reuse ratio", ("bandit.precombined_reused",),
+     ("bandit.precombined_reused", "bandit.combines")),
+    ("bandit retention occupancy", ("bandit.resident_events",),
+     ("bandit.retention_window",)),
+    ("flight budget utilization", ("flight.budget_used_hours",),
+     ("flight.budget_total_hours",)),
+)
+
+
+def derived_ratio(series, numerator, denominator):
+    """sum(numerator) / sum(denominator) from one snapshot's series; None
+    when a count is missing or the denominator is 0."""
+    if any(name not in series for name in numerator + denominator):
+        return None
+    den = sum(float(series[name]) for name in denominator)
+    if den == 0.0:
+        return None
+    return sum(float(series[name]) for name in numerator) / den
 
 
 def print_metrics_drift(base_path, fresh_path):
-    """Informational hit-rate / span-quantile drift; never affects the gate."""
+    """Informational hit-ratio / span-quantile drift; never affects the gate."""
     base = load_metrics(metrics_sibling(base_path))
     fresh = load_metrics(metrics_sibling(fresh_path))
     if not base or not fresh:
@@ -131,11 +162,10 @@ def print_metrics_drift(base_path, fresh_path):
         b, f = base[label], fresh[label]
         b_series = b.get("series", {}) or {}
         f_series = f.get("series", {}) or {}
-        for name in sorted(set(b_series) & set(f_series)):
-            if not name.endswith(RATE_SUFFIXES):
-                continue
-            bv, fv = float(b_series[name]), float(f_series[name])
-            if bv == 0.0 and fv == 0.0:
+        for name, numerator, denominator in RATIOS:
+            bv = derived_ratio(b_series, numerator, denominator)
+            fv = derived_ratio(f_series, numerator, denominator)
+            if bv is None or fv is None or (bv == 0.0 and fv == 0.0):
                 continue
             print(f"{label:36} {name:34} {bv:12.4f} {fv:12.4f}"
                   f"  {fv - bv:+8.4f}")

@@ -48,14 +48,14 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     // Shared combined-feature cache hit: adopt the caller's vectors. The
     // probes and acting arm of one job all log the same shared_ptrs.
     ev.action_features = request.precombined;
-    telemetry_.precombined_reused += request.precombined.size();
+    QO_OBS_COUNT("bandit.precombined_reused", request.precombined.size());
   } else {
     ev.action_features.reserve(request.actions.size());
     for (const auto& action : request.actions) {
       ev.action_features.push_back(
           CombineFeaturesShared(request.context, action.features));
     }
-    telemetry_.combines += request.actions.size();
+    QO_OBS_COUNT("bandit.combines", request.actions.size());
   }
   const size_t n = request.actions.size();
   size_t chosen;
@@ -81,7 +81,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
   ev.probability = probability;
   event_index_[event] = log_base_ + log_.size();
   log_.push_back(std::move(ev));
-  ++telemetry_.ranks;
+  QO_OBS_COUNT("bandit.ranks", 1);
   CompactLog();
 
   RankResponse resp;
@@ -121,36 +121,28 @@ size_t PersonalizerService::BestAction(const CbModel& model,
   return best;
 }
 
-Status PersonalizerService::Reward(const std::string& event_id,
-                                   double reward) {
-  // Find (not Intern): an id that was never ranked must not grow the table.
-  const EventId event{event_syms_.Find(event_id)};
-  if (!event.valid()) {
-    ++telemetry_.reward_failures;
-    return Status::NotFound("unknown event id: " + event_id);
-  }
-  return Reward(event, reward);
-}
-
 Status PersonalizerService::Reward(EventId event, double reward) {
   QO_OBS_SPAN("reward");
   auto it = event_index_.find(event);
   if (it == event_index_.end()) {
-    ++telemetry_.reward_failures;
+    QO_OBS_COUNT("bandit.reward_failures", 1);
+    // Only ids this service issued name a string (another service's id may
+    // lie past the end of this table).
+    const bool issued = event.valid() && event.value < event_syms_.size();
     return Status::NotFound(
         "unknown event id: " +
-        (event.valid() ? event_syms_.Resolve(event.value) : "<invalid>"));
+        (issued ? event_syms_.Resolve(event.value) : "<not issued here>"));
   }
   LoggedEvent& ev = log_[it->second - log_base_];
   if (ev.has_reward) {
-    ++telemetry_.reward_failures;
+    QO_OBS_COUNT("bandit.reward_failures", 1);
     return Status::FailedPrecondition("event already rewarded: " +
                                       event_syms_.Resolve(event.value));
   }
   ev.has_reward = true;
   ev.reward = reward;
   ++rewarded_;
-  ++telemetry_.reward_joins;
+  QO_OBS_COUNT("bandit.reward_joins", 1);
   // Queue for the next incremental retrain; the features stay shared with
   // the event log (and the Recommender's cache) — no copy.
   pending_.push_back({ev.action_features[ev.chosen], reward, ev.probability});
@@ -164,12 +156,12 @@ void PersonalizerService::Retrain() {
   QO_OBS_SPAN("retrain");
   if (!pending_.empty()) {
     model_.Train(pending_);
-    telemetry_.examples_trained += pending_.size();
+    QO_OBS_COUNT("bandit.examples_trained", pending_.size());
     // clear() keeps the batch buffer's capacity (bounded by the retrain
     // interval) so the next interval fills it without reallocating.
     pending_.clear();
   }
-  ++telemetry_.retrains;
+  QO_OBS_COUNT("bandit.retrains", 1);
   rewarded_at_last_train_ = rewarded_;
   CompactLog();
 }
@@ -177,8 +169,7 @@ void PersonalizerService::Retrain() {
 std::vector<LoggedExample> PersonalizerService::TakePendingBatch() {
   std::vector<LoggedExample> batch = std::move(pending_);
   pending_.clear();
-  ++telemetry_.retrains;
-  telemetry_.examples_trained += batch.size();
+  QO_OBS_COUNT("bandit.examples_trained", batch.size());
   rewarded_at_last_train_ = rewarded_;
   CompactLog();
   return batch;
@@ -194,7 +185,7 @@ void PersonalizerService::CompactLog() {
     event_index_.erase(log_.front().id);
     log_.pop_front();
     ++log_base_;
-    ++telemetry_.events_compacted;
+    QO_OBS_COUNT("bandit.events_compacted", 1);
   }
 }
 

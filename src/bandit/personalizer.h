@@ -13,6 +13,14 @@
 // The log itself is bounded by a retention policy (see
 // PersonalizerConfig::retention_window): one service instance can run for
 // an unbounded number of pipeline days in constant memory.
+//
+// Telemetry: every event below is a registry counter — "bandit.ranks",
+// "bandit.combines" / "bandit.precombined_reused" (combined vectors built
+// inside Rank vs shared from the caller), "bandit.reward_joins",
+// "bandit.reward_failures", "bandit.retrains" (Retrain() calls),
+// "bandit.examples_trained" (examples consumed by Retrain() or handed out
+// by TakePendingBatch()) and "bandit.events_compacted". The pipeline's
+// collector exports the learner's resident_events() and retention window.
 #ifndef QO_BANDIT_PERSONALIZER_H_
 #define QO_BANDIT_PERSONALIZER_H_
 
@@ -28,7 +36,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/symbol_table.h"
-#include "telemetry/bandit_telemetry.h"
 
 namespace qo::bandit {
 
@@ -131,15 +138,10 @@ class PersonalizerService {
                             const CbModel* serving_model = nullptr);
 
   /// Attaches a reward to a previously ranked event and queues the chosen
-  /// arm's features for the next incremental retrain. NotFound for unknown
-  /// (or retention-expired) event ids; FailedPrecondition for
-  /// already-rewarded events. The typed-id overload is the hot join: one
-  /// integer map probe, no string hashing.
+  /// arm's features for the next incremental retrain. The join is one
+  /// integer map probe, no string hashing. NotFound for invalid, unknown or
+  /// retention-expired events; FailedPrecondition for already-rewarded ones.
   Status Reward(EventId event, double reward);
-  /// String-keyed compatibility join. [[deprecated]]-in-comment: prefer
-  /// carrying RankResponse::event through to Reward(EventId) — this overload
-  /// pays a string hash to recover the typed id.
-  Status Reward(const std::string& event_id, double reward);
 
   /// Trains the model on the examples rewarded since the last retrain (the
   /// pending batch), then compacts the event log per the retention policy.
@@ -150,6 +152,8 @@ class PersonalizerService {
   /// the batch under the tenant lock, trains a model copy outside it, and
   /// publishes the result as a new snapshot — Retrain() is equivalent to
   /// TakePendingBatch + Train + AdoptModel in one (single-threaded) step.
+  /// Counts the batch's examples as trained but no retrain: the service
+  /// counts its publications instead.
   std::vector<LoggedExample> TakePendingBatch();
 
   /// Replaces the learner's model (the write-back half of the service
@@ -172,14 +176,7 @@ class PersonalizerService {
   size_t resident_events() const { return log_.size(); }
   size_t rewarded_events() const { return rewarded_; }
   const CbModel& model() const { return model_; }
-  /// By value: the snapshot is the stored counters plus point-in-time
-  /// retention occupancy (resident_events / retention_window).
-  telemetry::BanditTelemetry telemetry() const {
-    telemetry::BanditTelemetry t = telemetry_;
-    t.resident_events = log_.size();
-    t.retention_window = config_.retention_window;
-    return t;
-  }
+  const PersonalizerConfig& config() const { return config_; }
 
  private:
   struct LoggedEvent {
@@ -220,7 +217,6 @@ class PersonalizerService {
   std::vector<LoggedExample> pending_;
   size_t rewarded_ = 0;
   size_t rewarded_at_last_train_ = 0;
-  telemetry::BanditTelemetry telemetry_;
 };
 
 }  // namespace qo::bandit

@@ -82,13 +82,6 @@ CompilationPtr CompilationCache::GetOrCompile(
   });
 }
 
-telemetry::CompileCacheTelemetry CompilationCache::Telemetry() const {
-  telemetry::CompileCacheTelemetry t;
-  t.front_end = front_end_.Counters();
-  t.compilations = compilations_.Counters();
-  return t;
-}
-
 void CompilationCache::Clear() {
   front_end_.Clear();
   compilations_.Clear();

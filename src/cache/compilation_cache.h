@@ -40,7 +40,6 @@
 #include "optimizer/cross_config_memo.h"
 #include "optimizer/physical_plan.h"
 #include "scope/logical_plan.h"
-#include "telemetry/cache_telemetry.h"
 
 namespace qo::cache {
 
@@ -135,8 +134,9 @@ class CompilationCache {
 
   const CompileCacheOptions& options() const { return options_; }
 
-  /// Merged hit/miss/eviction counters for both levels.
-  telemetry::CompileCacheTelemetry Telemetry() const;
+  /// Hit/miss/eviction counts of each level.
+  Stats front_end_stats() const { return front_end_.stats(); }
+  Stats compilation_stats() const { return compilations_.stats(); }
 
   void Clear();
 

@@ -23,9 +23,16 @@
 #include <utility>
 #include <vector>
 
-#include "telemetry/cache_telemetry.h"
-
 namespace qo::cache {
+
+/// Counts of one cache, merged across shards.
+struct Stats {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t evictions = 0;
+  size_t entries = 0;   ///< live entries when read
+  size_t capacity = 0;  ///< configured total bound
+};
 
 template <typename Key, typename Value, typename Hasher>
 class ShardedLruCache {
@@ -103,9 +110,9 @@ class ShardedLruCache {
   size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
-  /// Merged counter snapshot across shards.
-  telemetry::CacheCounters Counters() const {
-    telemetry::CacheCounters out;
+  /// The per-shard counts, each read under its shard lock, summed.
+  Stats stats() const {
+    Stats out;
     out.capacity = capacity_;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);

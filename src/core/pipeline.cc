@@ -52,13 +52,20 @@ QoAdvisorPipeline::QoAdvisorPipeline(const engine::ScopeEngine* engine,
       flighting_(engine, config.flighting, runtime_, &injector_),
       recommender_(engine, personalizer_, config.recommender, &injector_),
       validation_(config.validation) {
-  // One collector covers every surface the pipeline owns or borrows:
-  // Personalizer (bandit.*), flighting (flight.*), SIS hint lifecycle
-  // (sis.*) and the pipeline's own cumulative day counters (pipeline.*).
+  // One collector covers the state of everything the pipeline owns or
+  // borrows: the learner's retention, the flighting budget, the SIS hint
+  // lifecycle (sis.*) and the pipeline's own cumulative day counts
+  // (pipeline.*). Their event counts are registry counters already.
   collector_id_ =
       obs::Registry::Get().AddCollector([this](obs::SeriesSink& sink) {
-        telemetry::ExportSeries(personalizer_->telemetry(), sink);
-        telemetry::ExportSeries(flighting_.telemetry(), sink);
+        sink.Add("bandit.resident_events",
+                 static_cast<double>(personalizer_->resident_events()));
+        sink.Add("bandit.retention_window",
+                 static_cast<double>(
+                     personalizer_->config().retention_window));
+        sink.Add("flight.budget_used_hours", flighting_.budget_used_hours());
+        sink.Add("flight.budget_total_hours",
+                 flighting_.config().total_budget_machine_hours);
         sink.Add("sis.version", static_cast<double>(sis_->current_version()));
         sink.Add("sis.active_hints",
                  static_cast<double>(sis_->active_hints()));
@@ -72,7 +79,6 @@ QoAdvisorPipeline::QoAdvisorPipeline(const engine::ScopeEngine* engine,
         sink.Add("pipeline.validated", static_cast<double>(cum_.validated));
         sink.Add("pipeline.hints_uploaded",
                  static_cast<double>(cum_.hints_uploaded));
-        telemetry::ExportSeries(guard_.telemetry(), sink);
       });
 }
 
@@ -111,7 +117,7 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       if (injector_.ShouldInject(guard::FaultSite::kTelemetry, view.day,
                                  row.job_id)) {
         ++report.telemetry_rows_dropped;
-        ++guard_.counters().faults_telemetry_drop;
+        QO_OBS_COUNT("guard.faults_telemetry_drop", 1);
         continue;
       }
       arrived_storage.rows.push_back(row);
@@ -155,8 +161,8 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       features, view.day, &report.recommender, runtime_);
 
   // Guard bookkeeping for the recommendation boundary's injected faults.
-  guard_.counters().faults_compile += report.recommender.faults_injected;
-  guard_.counters().faults_reward_drop += report.recommender.rewards_dropped;
+  QO_OBS_COUNT("guard.faults_compile", report.recommender.faults_injected);
+  QO_OBS_COUNT("guard.faults_reward_drop", report.recommender.rewards_dropped);
 
   // --- Flight selection: one representative per template, budget-capped.
   std::vector<Recommendation> candidates = PickRepresentatives(std::move(recs));
@@ -169,12 +175,12 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
       if (guard_.watchdog().Quarantined(rec.template_name, rec.rule_id,
                                         view.day)) {
         ++report.quarantine_blocked;
-        ++guard_.counters().quarantine_blocked;
+        QO_OBS_COUNT("guard.quarantine_blocked", 1);
         continue;
       }
       if (!guard_.TemplateAllowed(rec.template_name, view.day)) {
         ++report.breaker_blocked;
-        ++guard_.counters().template_blocked;
+        QO_OBS_COUNT("guard.template_blocked", 1);
         continue;
       }
       allowed.push_back(std::move(rec));
@@ -227,14 +233,14 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
                             fl.outcome == flight::FlightOutcome::kFailure;
            ++attempt) {
         ++report.flight_retries;
-        ++guard_.counters().flight_retries;
+        QO_OBS_COUNT("guard.flight_retries", 1);
         auto retry = flighting_.FlightOne(
             req, static_cast<uint64_t>(view.day) * 15485863 + ++retry_no);
         if (!retry.ok()) break;  // budget exhausted: give up on retries
         if (retry->outcome == flight::FlightOutcome::kFailure) continue;
         if (retry->outcome == flight::FlightOutcome::kSuccess) {
           ++report.flights_recovered;
-          ++guard_.counters().flight_recoveries;
+          QO_OBS_COUNT("guard.flight_recoveries", 1);
         }
         // The injected-fault flag stays sticky across the replacement so
         // the day report still counts the fault the retry recovered from.
@@ -252,7 +258,7 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
     for (const flight::FlightResult& flight : flights) {
       if (flight.fault_injected) {
         ++report.faults_injected;
-        ++guard_.counters().faults_flight;
+        QO_OBS_COUNT("guard.faults_flight", 1);
       }
       // Steering-health events for the breakers: completed flights vote
       // success/failure (timeouts count as failures — a timeout storm must
@@ -321,12 +327,12 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
                                  uint64_t{0})) {
         text = injector_.CorruptHintText(text, view.day);
         ++report.faults_injected;
-        ++guard_.counters().faults_hint_file;
+        QO_OBS_COUNT("guard.faults_hint_file", 1);
       }
       auto parsed = sis::HintFile::Parse(text);
       if (!parsed.ok()) {
         report.hint_file_rejected = true;
-        ++guard_.counters().hint_files_rejected;
+        QO_OBS_COUNT("guard.hint_files_rejected", 1);
       } else {
         auto version = sis_->UploadHintFile(*parsed);
         if (version.ok()) report.hints_uploaded = parsed->entries.size();

@@ -109,8 +109,8 @@ class QoAdvisorPipeline {
   runtime::ParallelRuntime& runtime() { return *runtime_; }
   flight::FlightingService& flighting() { return flighting_; }
   ValidationModel& validation_model() { return validation_; }
-  /// Guardrail state (watchdog, breakers, counters) — read-mostly for
-  /// tests/demos; the pipeline drives it on the serial path.
+  /// Guardrail state (watchdog, breakers) — read-mostly for tests/demos;
+  /// the pipeline drives it on the serial path.
   guard::SteeringGuard& steering_guard() { return guard_; }
   const guard::FaultInjector& fault_injector() const { return injector_; }
   const std::vector<ValidationSample>& validation_samples() const {
@@ -141,8 +141,8 @@ class QoAdvisorPipeline {
   ValidationModel validation_;
   std::vector<ValidationSample> validation_samples_;
   /// Cumulative across RunDay calls, exported as "pipeline.*" series by the
-  /// registry collector below (the bandit/flighting/SIS surfaces ride along
-  /// in the same callback).
+  /// registry collector below (the learner, flighting-budget and SIS state
+  /// ride along in the same callback).
   struct Cumulative {
     uint64_t days = 0;
     uint64_t flight_requests = 0;

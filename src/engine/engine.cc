@@ -27,6 +27,15 @@ obs::Histogram& ExecuteSpanHist() {
   return *h;
 }
 
+void AddCacheLevel(const std::string& prefix, const cache::Stats& s,
+                   obs::SeriesSink& sink) {
+  sink.Add(prefix + ".hits", static_cast<double>(s.hits));
+  sink.Add(prefix + ".misses", static_cast<double>(s.misses));
+  sink.Add(prefix + ".evictions", static_cast<double>(s.evictions));
+  sink.Add(prefix + ".entries", static_cast<double>(s.entries));
+  sink.Add(prefix + ".capacity", static_cast<double>(s.capacity));
+}
+
 }  // namespace
 
 ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
@@ -37,14 +46,19 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
       options_fingerprint_(
           cache::OptimizerOptionsFingerprint(optimizer_options)),
       cache_(cache_options) {
-  // Export the engine's three telemetry surfaces as registry series. The
-  // callback only reads counters and writes to the sink — it never calls
-  // back into the registry (whose lock is held during Snapshot()).
+  // The symbol table is process-wide, so its size is one series however
+  // many engines are alive: registered by the first engine, never removed.
+  static const int symbols_collector [[maybe_unused]] =
+      obs::Registry::Get().AddCollector([](obs::SeriesSink& sink) {
+        sink.Add("optimizer.symbols",
+                 static_cast<double>(SymbolTable::Global().size()));
+      });
+  // Per-engine cache state; the sink sums it across engines. The callback
+  // never calls back into the registry (whose lock is held in Snapshot()).
   collector_id_ =
       obs::Registry::Get().AddCollector([this](obs::SeriesSink& sink) {
-        telemetry::ExportSeries(compile_cache_telemetry(), sink);
-        telemetry::ExportSeries(optimizer_telemetry(), sink);
-        telemetry::ExportSeries(exec_profile_telemetry(), sink);
+        AddCacheLevel("cache.front_end", cache_.front_end_stats(), sink);
+        AddCacheLevel("cache.compilations", cache_.compilation_stats(), sink);
       });
 }
 
@@ -73,7 +87,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   Status stored_status = Status::OK();
   std::shared_ptr<const opt::CompilationOutput> stored_output;
   if (memo.FindFull(config.bits(), &stored_status, &stored_output)) {
-    memo_full_hits_.fetch_add(1, std::memory_order_relaxed);
+    QO_OBS_COUNT("optimizer.memo.full_hits", 1);
     if (!stored_status.ok()) return stored_status;
     return stored_output;
   }
@@ -85,7 +99,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   BitVector256 norm_consulted;
   if (std::shared_ptr<const opt::NormalizedPlan> normalized =
           memo.FindNorm(config.bits(), &norm_consulted)) {
-    memo_norm_hits_.fetch_add(1, std::memory_order_relaxed);
+    QO_OBS_COUNT("optimizer.memo.norm_hits", 1);
     BitVector256 post_consulted;
     Result<opt::CompilationOutput> result =
         optimizer.OptimizeFromNormalized(*normalized, config, &post_consulted);
@@ -101,7 +115,7 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
   }
 
   // Miss: full pipeline, recording both footprints for future configs.
-  memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  QO_OBS_COUNT("optimizer.memo.misses", 1);
   BitVector256 post_consulted;
   std::shared_ptr<const opt::NormalizedPlan> normalized;
   Result<opt::CompilationOutput> result = optimizer.OptimizeTracked(
@@ -243,10 +257,10 @@ std::shared_ptr<const exec::ExecutionProfile> ScopeEngine::PrepareProfile(
   std::shared_ptr<const exec::ExecutionProfile> existing =
       compilation.exec_profile.Load();
   if (existing != nullptr && matches(*existing)) {
-    profile_hits_.fetch_add(1, std::memory_order_relaxed);
+    QO_OBS_COUNT("exec.profile_hits", 1);
     return existing;
   }
-  profile_misses_.fetch_add(1, std::memory_order_relaxed);
+  QO_OBS_COUNT("exec.profile_misses", 1);
   QO_OBS_SPAN("exec.prepare");
   std::shared_ptr<const exec::ExecutionProfile> fresh =
       simulator_.PrepareShared(compilation.plan, job.catalog);
@@ -273,28 +287,6 @@ ScopeEngine::TemplateHists ScopeEngine::TemplateHistsFor(
     it->second.exec_ns = &obs::Registry::Get().histogram(base + ".exec_ns");
   }
   return it->second;
-}
-
-telemetry::CompileCacheTelemetry ScopeEngine::compile_cache_telemetry() const {
-  return cache_.Telemetry();
-}
-
-telemetry::OptimizerTelemetry ScopeEngine::optimizer_telemetry() const {
-  telemetry::OptimizerTelemetry t;
-  t.memo_full_hits = memo_full_hits_.load(std::memory_order_relaxed);
-  t.memo_norm_hits = memo_norm_hits_.load(std::memory_order_relaxed);
-  t.memo_misses = memo_misses_.load(std::memory_order_relaxed);
-  t.interned_symbols = SymbolTable::Global().size();
-  return t;
-}
-
-telemetry::ExecProfileTelemetry ScopeEngine::exec_profile_telemetry() const {
-  telemetry::ExecProfileTelemetry t;
-  t.prepares = simulator_.profile_prepares();
-  t.prepared_runs = simulator_.prepared_runs();
-  t.profile_hits = profile_hits_.load(std::memory_order_relaxed);
-  t.profile_misses = profile_misses_.load(std::memory_order_relaxed);
-  return t;
 }
 
 }  // namespace qo::engine

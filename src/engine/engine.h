@@ -17,7 +17,6 @@
 #ifndef QO_ENGINE_ENGINE_H_
 #define QO_ENGINE_ENGINE_H_
 
-#include <atomic>
 #include <memory>
 #include <shared_mutex>
 #include <unordered_map>
@@ -30,9 +29,6 @@
 #include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
-#include "telemetry/cache_telemetry.h"
-#include "telemetry/exec_telemetry.h"
-#include "telemetry/optimizer_telemetry.h"
 #include "workload/template_gen.h"
 
 namespace qo::engine {
@@ -45,6 +41,12 @@ struct JobRunResult {
 };
 
 /// Facade bundling the compiler, optimizer and cluster simulator.
+///
+/// Telemetry: cross-config memo outcomes ("optimizer.memo.{full_hits,
+/// norm_hits,misses}") and profile-slot lookups ("exec.profile_{hits,
+/// misses}") are registry counters. The engine's collector exports its
+/// cache levels ("cache.{front_end,compilations}.{hits,misses,evictions,
+/// entries,capacity}"); "optimizer.symbols" is exported once per process.
 ///
 /// Audited for the parallel runtime: compilation results are immutable and
 /// the compilation cache is internally synchronized (sharded mutexes); the
@@ -123,14 +125,6 @@ class ScopeEngine {
     return simulator_.config();
   }
 
-  /// Hit/miss/eviction counters of the two cache levels.
-  telemetry::CompileCacheTelemetry compile_cache_telemetry() const;
-  /// Prepare/reuse counters of the execution profiles.
-  telemetry::ExecProfileTelemetry exec_profile_telemetry() const;
-  /// Cross-config memo hit/miss counters plus the process-wide interned
-  /// symbol count.
-  telemetry::OptimizerTelemetry optimizer_telemetry() const;
-
  private:
   /// The seed the simulator derives all of a run's stochastic draws from.
   static uint64_t RunSeed(const workload::JobInstance& job, uint64_t run_salt);
@@ -170,18 +164,11 @@ class ScopeEngine {
   uint64_t options_fingerprint_ = 0;
   /// Mutable state behind const CompileShared; internally synchronized.
   mutable cache::CompilationCache cache_;
-  /// Profile-slot reuse counters (relaxed; monotone under concurrency).
-  mutable std::atomic<uint64_t> profile_hits_{0};
-  mutable std::atomic<uint64_t> profile_misses_{0};
-  /// Cross-config memo counters (relaxed; monotone under concurrency).
-  mutable std::atomic<uint64_t> memo_full_hits_{0};
-  mutable std::atomic<uint64_t> memo_norm_hits_{0};
-  mutable std::atomic<uint64_t> memo_misses_{0};
   /// template_id -> latency histograms (read-mostly: shared lock on hit).
   mutable std::shared_mutex tpl_mu_;
   mutable std::unordered_map<int, TemplateHists> tpl_hists_;
-  /// Registry collector exporting the cache/optimizer/exec telemetry
-  /// surfaces as series (removed in the destructor).
+  /// Registry collector exporting the cache levels (removed in the
+  /// destructor).
   int collector_id_ = -1;
 };
 

@@ -8,6 +8,7 @@
 
 #include "common/hash.h"
 #include "common/kernels/kernels.h"
+#include "obs/metrics.h"
 
 namespace qo::exec {
 
@@ -276,7 +277,7 @@ uint64_t ClusterConfigFingerprint(const ClusterConfig& c) {
 
 ExecutionProfile ClusterSimulator::Prepare(const PhysicalPlan& plan,
                                            const scope::Catalog& catalog) const {
-  prepares_.fetch_add(1, std::memory_order_relaxed);
+  QO_OBS_COUNT("exec.prepares", 1);
   ExecutionProfile p;
   p.config_fingerprint = config_fingerprint_;
   p.catalog_fingerprint = catalog.StatsFingerprint();
@@ -458,7 +459,7 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
       out[static_cast<size_t>(i) + j].latency_sec =
           overhead[j] + critical[j] * job_scale[j];
     }
-    prepared_runs_.fetch_add(kLanes, std::memory_order_relaxed);
+    QO_OBS_COUNT("exec.prepared_runs", kLanes);
   }
   for (; i < runs; ++i) {
     out.push_back(Execute(profile, base_seed + static_cast<uint64_t>(i)));
@@ -470,7 +471,7 @@ std::vector<JobMetrics> ClusterSimulator::ExecuteRuns(
 // arithmetic exactly, so batched and single runs are bit-identical.
 JobMetrics ClusterSimulator::Execute(const ExecutionProfile& p,
                                      uint64_t run_seed) const {
-  prepared_runs_.fetch_add(1, std::memory_order_relaxed);
+  QO_OBS_COUNT("exec.prepared_runs", 1);
   Rng rng(run_seed);
   JobMetrics m;
   m.data_read_bytes = p.data_read_bytes;

@@ -22,7 +22,6 @@
 #ifndef QO_EXEC_CLUSTER_H_
 #define QO_EXEC_CLUSTER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -165,16 +164,13 @@ uint64_t ClusterConfigFingerprint(const ClusterConfig& config);
 /// The cluster simulator. Each Execute() call is one run of the job; the
 /// `run_seed` determines all stochastic draws, so A/A runs with different
 /// seeds reproduce cluster variance while identical seeds are exactly
-/// repeatable.
+/// repeatable. Counts "exec.prepares" and "exec.prepared_runs" in the
+/// metrics registry.
 class ClusterSimulator {
  public:
   explicit ClusterSimulator(ClusterConfig config = {})
       : config_(config),
         config_fingerprint_(ClusterConfigFingerprint(config)) {}
-
-  /// Telemetry counters do not transfer: a copy starts counting from zero.
-  ClusterSimulator(const ClusterSimulator& o)
-      : config_(o.config_), config_fingerprint_(o.config_fingerprint_) {}
 
   const ClusterConfig& config() const { return config_; }
   uint64_t config_fingerprint() const { return config_fingerprint_; }
@@ -209,20 +205,9 @@ class ClusterSimulator {
   std::vector<JobMetrics> ExecuteRuns(const ExecutionProfile& profile,
                                       uint64_t base_seed, int runs) const;
 
-  /// Lifetime counters (relaxed atomics; exact under serial use, monotone
-  /// under concurrency): profile preparations and runs.
-  uint64_t profile_prepares() const {
-    return prepares_.load(std::memory_order_relaxed);
-  }
-  uint64_t prepared_runs() const {
-    return prepared_runs_.load(std::memory_order_relaxed);
-  }
-
  private:
   ClusterConfig config_;
   uint64_t config_fingerprint_ = 0;
-  mutable std::atomic<uint64_t> prepares_{0};
-  mutable std::atomic<uint64_t> prepared_runs_{0};
 };
 
 }  // namespace qo::exec

@@ -148,7 +148,7 @@ Result<FlightResult> FlightingService::FlightOne(const FlightRequest& request,
 
 std::vector<FlightResult> FlightingService::FlightBatch(
     std::vector<FlightRequest> requests, uint64_t run_salt) {
-  ++batches_;
+  QO_OBS_COUNT("flight.batches", 1);
   // Fixed-size queue: excess requests are dropped up front.
   if (requests.size() > config_.queue_capacity) {
     requests.resize(config_.queue_capacity);
@@ -232,49 +232,34 @@ Result<std::vector<exec::JobMetrics>> FlightingService::RunAA(
   std::vector<exec::JobMetrics> metrics =
       engine_->ExecuteRuns(job, *compiled, run_salt * 1000, runs);
   for (const exec::JobMetrics& m : metrics) gate_.Spend(m.pn_hours);
-  aa_runs_ += metrics.size();
+  QO_OBS_COUNT("flight.aa_runs", metrics.size());
   return metrics;
 }
 
 void FlightingService::CountOutcome(FlightOutcome outcome,
                                     bool fault_injected) {
-  if (fault_injected) ++flights_fault_injected_;
+  if (fault_injected) QO_OBS_COUNT("flight.fault_injected", 1);
   switch (outcome) {
     case FlightOutcome::kSuccess:
-      ++flights_success_;
+      QO_OBS_COUNT("flight.success", 1);
       break;
     case FlightOutcome::kFailure:
-      ++flights_failure_;
+      QO_OBS_COUNT("flight.failure", 1);
       break;
     case FlightOutcome::kTimeout:
-      ++flights_timeout_;
+      QO_OBS_COUNT("flight.timeout_per_job", 1);
+      QO_OBS_COUNT("flight.timeout", 1);
       break;
     case FlightOutcome::kFiltered:
-      ++flights_filtered_;
+      QO_OBS_COUNT("flight.filtered", 1);
       break;
     case FlightOutcome::kBudgetRejected:
-      ++flights_budget_rejected_;
+      // "flight.timeout" counts every flight the budget or the per-job cap
+      // cut short.
+      QO_OBS_COUNT("flight.budget_rejected", 1);
+      QO_OBS_COUNT("flight.timeout", 1);
       break;
   }
-}
-
-telemetry::FlightTelemetry FlightingService::telemetry() const {
-  telemetry::FlightTelemetry t;
-  t.flights_success = flights_success_;
-  t.flights_failure = flights_failure_;
-  // Legacy total: per-job timeouts and budget rejections were one counter
-  // before the outcomes were split; the snapshot keeps the sum stable and
-  // exposes the split alongside.
-  t.flights_timeout = flights_timeout_ + flights_budget_rejected_;
-  t.flights_timeout_per_job = flights_timeout_;
-  t.flights_budget_rejected = flights_budget_rejected_;
-  t.flights_fault_injected = flights_fault_injected_;
-  t.flights_filtered = flights_filtered_;
-  t.batches = batches_;
-  t.aa_runs = aa_runs_;
-  t.budget_used_hours = gate_.committed();
-  t.budget_total_hours = config_.total_budget_machine_hours;
-  return t;
 }
 
 }  // namespace qo::flight

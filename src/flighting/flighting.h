@@ -15,6 +15,12 @@
 // calling thread. Each flight's environmental draws come from a per-flight
 // RNG derived from (config.seed, run_salt), so a flight is a pure function
 // of its request — parallel batches are byte-identical to serial ones.
+//
+// Telemetry: committed outcomes are registry counters ("flight.success",
+// ".failure", ".timeout_per_job", ".budget_rejected", ".filtered",
+// ".fault_injected"), plus "flight.timeout" (per-job timeouts and budget
+// rejections together), "flight.batches" and "flight.aa_runs". The
+// pipeline's collector exports the budget.
 #ifndef QO_FLIGHTING_FLIGHTING_H_
 #define QO_FLIGHTING_FLIGHTING_H_
 
@@ -29,7 +35,6 @@
 #include "optimizer/rules.h"
 #include "runtime/budget_gate.h"
 #include "runtime/runtime.h"
-#include "telemetry/flight_telemetry.h"
 #include "workload/template_gen.h"
 
 namespace qo::flight {
@@ -127,11 +132,6 @@ class FlightingService {
   const FlightingConfig& config() const { return config_; }
   const runtime::BudgetGate& budget_gate() const { return gate_; }
 
-  /// Snapshot of committed outcome counts and budget health. Counted at the
-  /// serial commit points (FlightOne / the batch commit / RunAA), so
-  /// speculative flights refunded by budget admission are not included.
-  telemetry::FlightTelemetry telemetry() const;
-
  private:
   /// The pure flight computation: environmental draws + both engine arms,
   /// no budget interaction. Thread-safety: const and deterministic per
@@ -139,24 +139,16 @@ class FlightingService {
   FlightResult RunFlight(const FlightRequest& request,
                          uint64_t run_salt) const;
 
-  /// Commit-side outcome bookkeeping (calling thread only).
-  void CountOutcome(FlightOutcome outcome, bool fault_injected = false);
+  /// Counts a committed outcome. Called at the serial commit points
+  /// (FlightOne / the batch commit), so speculative flights refunded by
+  /// budget admission are never counted.
+  static void CountOutcome(FlightOutcome outcome, bool fault_injected = false);
 
   const engine::ScopeEngine* engine_;
   FlightingConfig config_;
   runtime::ParallelRuntime* runtime_;
   const guard::FaultInjector* injector_;
   runtime::BudgetGate gate_;
-  // Mutated only on the service's calling thread (the batch commit runs
-  // there), so plain integers suffice.
-  uint64_t flights_success_ = 0;
-  uint64_t flights_failure_ = 0;
-  uint64_t flights_timeout_ = 0;
-  uint64_t flights_filtered_ = 0;
-  uint64_t flights_budget_rejected_ = 0;
-  uint64_t flights_fault_injected_ = 0;
-  uint64_t batches_ = 0;
-  uint64_t aa_runs_ = 0;
 };
 
 }  // namespace qo::flight

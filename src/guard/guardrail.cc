@@ -1,5 +1,6 @@
 #include "guard/guardrail.h"
 
+#include <cstdio>
 #include <cstdlib>
 
 namespace qo::guard {
@@ -66,9 +67,11 @@ std::vector<WatchdogAction> HintWatchdog::ObserveDay(
 
     // Sustained regression: revert the hint, quarantine the pair.
     if (sis->RevertHint(name).ok()) {
-      ++reverts_;
+      QO_OBS_COUNT("guard.watchdog_reverts", 1);
       auto key = std::make_pair(name, state.hint_rule);
-      if (quarantine_.emplace(key, 0).second) ++quarantines_;
+      if (quarantine_.emplace(key, 0).second) {
+        QO_OBS_COUNT("guard.watchdog_quarantines", 1);
+      }
       quarantine_[key] = view.day + config_.quarantine_days;
       actions.push_back({name, state.hint_rule, state.hint_enable, view.day,
                          regression});
@@ -148,18 +151,40 @@ void SteeringGuard::RecordSteeringEvent(const std::string& template_name,
 }
 
 void SteeringGuard::CloseDay(int day) {
-  if (!global_breaker_.AllowSteering(day)) ++counters_.steering_disabled_days;
-  if (global_breaker_.CloseDay(day)) ++counters_.breaker_trips_global;
+  if (!global_breaker_.AllowSteering(day)) {
+    QO_OBS_COUNT("guard.steering_disabled_days", 1);
+  }
+  if (global_breaker_.CloseDay(day)) {
+    QO_OBS_COUNT("guard.breaker_trips_global", 1);
+  }
   for (auto& [name, breaker] : template_breakers_) {
-    if (breaker.CloseDay(day)) ++counters_.breaker_trips_template;
+    if (breaker.CloseDay(day)) QO_OBS_COUNT("guard.breaker_trips_template", 1);
   }
 }
 
-telemetry::GuardTelemetry SteeringGuard::telemetry() const {
-  telemetry::GuardTelemetry t = counters_;
-  t.watchdog_reverts = watchdog_.reverts();
-  t.watchdog_quarantines = watchdog_.quarantines();
-  return t;
+std::string GuardrailsText(const obs::MetricsSnapshot& snap) {
+  auto count = [&](const char* name) {
+    return static_cast<unsigned long long>(snap.SeriesValue(name));
+  };
+  char text[512];
+  std::snprintf(
+      text, sizeof(text),
+      "guardrails:\n"
+      "  watchdog: reverts=%llu quarantines=%llu blocked=%llu\n"
+      "  breakers: global_trips=%llu template_trips=%llu disabled_days=%llu "
+      "template_blocked=%llu\n"
+      "  degradation: retries=%llu recoveries=%llu hint_files_rejected=%llu\n"
+      "  faults: compile=%llu flight=%llu hint_file=%llu reward=%llu "
+      "telemetry=%llu\n",
+      count("guard.watchdog_reverts"), count("guard.watchdog_quarantines"),
+      count("guard.quarantine_blocked"), count("guard.breaker_trips_global"),
+      count("guard.breaker_trips_template"),
+      count("guard.steering_disabled_days"), count("guard.template_blocked"),
+      count("guard.flight_retries"), count("guard.flight_recoveries"),
+      count("guard.hint_files_rejected"), count("guard.faults_compile"),
+      count("guard.faults_flight"), count("guard.faults_hint_file"),
+      count("guard.faults_reward_drop"), count("guard.faults_telemetry_drop"));
+  return text;
 }
 
 }  // namespace qo::guard

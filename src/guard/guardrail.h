@@ -13,8 +13,11 @@
 //     global): when steering failures cross a threshold the breaker opens
 //     and steering is disabled for a probation window, after which a
 //     half-open probe decides between re-arming and re-opening.
-//   * SteeringGuard — bundles the watchdog, the breakers and the guardrail
-//     counters the pipeline exports as "guard.*" series.
+//   * SteeringGuard — bundles the watchdog and the breakers.
+//
+// Every guardrail event is a "guard.*" registry counter, bumped where it
+// happens (here and on the pipeline's commit path); GuardrailsText renders
+// them from a registry snapshot.
 //
 // Everything here runs on the pipeline's serial path (day boundaries), so
 // decisions are deterministic for any thread count by construction.
@@ -29,8 +32,8 @@
 #include <vector>
 
 #include "guard/fault_injector.h"
+#include "obs/metrics.h"
 #include "sis/sis.h"
-#include "telemetry/guard_telemetry.h"
 #include "telemetry/workload_view.h"
 
 namespace qo::guard {
@@ -67,8 +70,9 @@ class HintWatchdog {
   /// Ingests one day of production telemetry (the same denormalized view
   /// the pipeline consumes). Reverts any hint whose template has regressed
   /// for `hysteresis_days` consecutive qualifying days and quarantines the
-  /// (template, rule) pair. Returns the reverts performed, in template
-  /// order.
+  /// (template, rule) pair ("guard.watchdog_reverts" /
+  /// "guard.watchdog_quarantines"). Returns the reverts performed, in
+  /// template order.
   std::vector<WatchdogAction> ObserveDay(const telemetry::WorkloadView& view,
                                          sis::StatsInsightService* sis);
 
@@ -79,8 +83,6 @@ class HintWatchdog {
   /// Quarantine entries still in cool-down on `day`.
   size_t ActiveQuarantines(int day) const;
 
-  uint64_t reverts() const { return reverts_; }
-  uint64_t quarantines() const { return quarantines_; }
   const WatchdogConfig& config() const { return config_; }
 
  private:
@@ -98,8 +100,6 @@ class HintWatchdog {
   std::map<std::string, TemplateState> templates_;
   /// (template, rule) -> first day the pair may be recommended again.
   std::map<std::pair<std::string, int>, int> quarantine_;
-  uint64_t reverts_ = 0;
-  uint64_t quarantines_ = 0;
 };
 
 struct BreakerConfig {
@@ -172,7 +172,7 @@ struct GuardConfig {
   static GuardConfig FromEnv();
 };
 
-/// The pipeline's guardrail bundle: watchdog + breakers + counters.
+/// The pipeline's guardrail bundle: watchdog + breakers.
 class SteeringGuard {
  public:
   explicit SteeringGuard(GuardConfig config = {})
@@ -197,21 +197,19 @@ class SteeringGuard {
   /// fallback, ...) against both breaker scopes.
   void RecordSteeringEvent(const std::string& template_name, bool failure);
 
-  /// Day-boundary breaker evaluation; updates trip counters.
+  /// Day-boundary breaker evaluation; counts disabled days and trips.
   void CloseDay(int day);
-
-  /// Mutable guardrail counters (pipeline commit path only).
-  telemetry::GuardTelemetry& counters() { return counters_; }
-  /// Snapshot including watchdog / breaker state.
-  telemetry::GuardTelemetry telemetry() const;
 
  private:
   GuardConfig config_;
   HintWatchdog watchdog_;
   CircuitBreaker global_breaker_;
   std::map<std::string, CircuitBreaker> template_breakers_;
-  telemetry::GuardTelemetry counters_;
 };
+
+/// The "guardrails:" block — watchdog, breakers, degradation and injected
+/// faults — rendered from the snapshot's "guard.*" series.
+std::string GuardrailsText(const obs::MetricsSnapshot& snap);
 
 }  // namespace qo::guard
 

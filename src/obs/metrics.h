@@ -10,11 +10,12 @@
 //    cache-line-padded per-thread slots, histogram records are a single
 //    relaxed fetch_add on a (shard, bucket) slot. No locks anywhere on the
 //    record path.
-//  - Everything is off-by-default-cheap: when QO_METRICS=0 the span macros
-//    and instrumented call sites check one cached bool and do nothing.
-//    Metrics never feed back into computation, so all outputs are
-//    byte-identical with metrics on or off (asserted by obs_test and the
-//    figure-bench identity checks in CI).
+//  - Timing is off-by-default-cheap: when QO_METRICS=0 the span macros and
+//    the histogram/trace call sites check one cached bool and do nothing.
+//    Event counters (QO_OBS_COUNT) count either way. Metrics never feed
+//    back into computation, so all outputs are byte-identical with metrics
+//    on or off (asserted by obs_test and the figure-bench identity checks
+//    in CI).
 //  - Quantiles are deterministic: buckets are fixed log-linear boundaries
 //    (4 sub-buckets per power of two) and Quantile() returns the upper
 //    bound of the bucket containing the requested rank — the same counts
@@ -25,12 +26,13 @@
 //
 // The registry hands out stable pointers (metrics live in deques and are
 // never deallocated), so call sites cache the pointer once and record
-// lock-free afterwards. Subsystems whose counters live outside the registry
-// (the engine's sharded compile cache, the Personalizer, the flighting
-// service) attach *collectors* — callbacks that export their telemetry
-// snapshots as named series at Snapshot() time. This is how the four legacy
-// telemetry structs surface as registry series without moving their
-// hot-path counters.
+// lock-free afterwards. Every event count (memo hits, flight outcomes,
+// guard reverts, ...) is a registry counter bumped at its event site.
+// Per-instance *state* — a cache's live entries and per-shard counts, a
+// learner's resident events, a flighting budget, SIS versions — stays with
+// its owner, which attaches a *collector*: a callback that writes that state
+// as named series at Snapshot() time. Derived ratios are never exported;
+// readers divide the counts of one snapshot.
 #ifndef QO_OBS_METRICS_H_
 #define QO_OBS_METRICS_H_
 
@@ -266,5 +268,15 @@ class Registry {
 };
 
 }  // namespace qo::obs
+
+/// Adds `n` to the registry counter `name` (a string literal). The counter
+/// is resolved once per call site into a function-local static, so each
+/// later call is one relaxed fetch_add. Counts whatever QO_METRICS says.
+#define QO_OBS_COUNT(name, n)                                  \
+  do {                                                         \
+    static ::qo::obs::Counter& qo_obs_counter =                \
+        ::qo::obs::Registry::Get().counter(name);              \
+    qo_obs_counter.Add(static_cast<uint64_t>(n));              \
+  } while (0)
 
 #endif  // QO_OBS_METRICS_H_

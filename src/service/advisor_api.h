@@ -50,13 +50,11 @@ struct RankResponse {
   uint64_t snapshot_sequence = 0;
 };
 
-/// Reward: attach an outcome to a previously ranked event. The typed
-/// `event` (from RankResponse) is the hot join; `event_id` is the string
-/// fallback for callers that only kept the id text.
+/// Reward: attach an outcome to a previously ranked event, named by the
+/// typed `event` its RankResponse carried.
 struct RewardRequest {
   std::string tenant;
   bandit::EventId event;
-  std::string event_id;  ///< used only when `event` is invalid
   double reward = 0.0;
 };
 

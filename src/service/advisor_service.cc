@@ -157,11 +157,7 @@ Result<RewardResponse> AdvisorService::Reward(const RewardRequest& request) {
   RewardResponse resp;
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    // Typed join when the caller carried RankResponse::event through;
-    // string fallback otherwise (one extra hash to recover the id).
-    Status s = request.event.valid()
-                   ? t->personalizer.Reward(request.event, request.reward)
-                   : t->personalizer.Reward(request.event_id, request.reward);
+    Status s = t->personalizer.Reward(request.event, request.reward);
     if (!s.ok()) return s;
     resp.rewarded_events = t->personalizer.rewarded_events();
   }

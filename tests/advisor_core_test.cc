@@ -10,6 +10,7 @@
 #include "core/span.h"
 #include "core/validation.h"
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 
 namespace qo::advisor {
 namespace {
@@ -280,6 +281,8 @@ TEST(HintGenTest, OneHintPerTemplateSkippingNoops) {
 // ---------------------------------------------------------------------------
 
 TEST(PipelineTest, MultiDayRunProducesConsistentReportsAndHints) {
+  // Earlier span tests compile on another engine; count this pipeline only.
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentEnv env(
       {.num_templates = 40, .jobs_per_day = 80, .seed = 31});
   sis::StatsInsightService sis;
@@ -315,16 +318,18 @@ TEST(PipelineTest, MultiDayRunProducesConsistentReportsAndHints) {
   // The pipeline sweeps many rule configs per job (span probes, multi-flip,
   // flighting); the per-job cross-config memo must have served a nonzero
   // share of those optimizer runs from a previously compiled config.
-  telemetry::OptimizerTelemetry opt_telemetry =
-      env.engine().optimizer_telemetry();
-  EXPECT_GT(opt_telemetry.memo_full_hits + opt_telemetry.memo_norm_hits, 0u);
-  EXPECT_GT(opt_telemetry.interned_symbols, 2u);
+  const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.full_hits") +
+                snap.SeriesValue("optimizer.memo.norm_hits"),
+            0.0);
+  EXPECT_GT(snap.SeriesValue("optimizer.symbols"), 2.0);
 }
 
 TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   // One pipeline instance persists across days; the Personalizer's event
   // log must not grow without bound (retention drops events that have been
   // trained on / whose reward-join horizon has passed).
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentEnv env(
       {.num_templates = 40, .jobs_per_day = 80, .seed = 31});
   sis::StatsInsightService sis;
@@ -342,17 +347,20 @@ TEST(PipelineTest, PersonalizerMemoryBoundedAcrossDays) {
   }
   // The run logged far more events than are retained...
   EXPECT_GT(pipeline.personalizer().logged_events(), 256u);
-  EXPECT_GT(pipeline.personalizer().telemetry().events_compacted, 0u);
+  EXPECT_GT(obs::Registry::Get().Snapshot().SeriesValue(
+                "bandit.events_compacted"),
+            0.0);
   // ...and every rewarded example still reaches the trainer: after a final
   // explicit retrain drains the pending batch, the incremental trainer has
   // consumed exactly one example per reward join — compaction never drops
   // an untrained example.
   pipeline.personalizer().Retrain();
-  const auto& telemetry = pipeline.personalizer().telemetry();
-  EXPECT_EQ(telemetry.examples_trained, telemetry.reward_joins);
+  const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+  EXPECT_EQ(snap.SeriesValue("bandit.examples_trained"),
+            snap.SeriesValue("bandit.reward_joins"));
   // The recommender's per-job combined-feature cache served every Rank.
-  EXPECT_EQ(telemetry.combines, 0u);
-  EXPECT_GT(telemetry.precombined_reused, 0u);
+  EXPECT_EQ(snap.SeriesValue("bandit.combines"), 0.0);
+  EXPECT_GT(snap.SeriesValue("bandit.precombined_reused"), 0.0);
 }
 
 TEST(PipelineTest, HintedTemplatesCompileWithSingleFlip) {

@@ -10,10 +10,16 @@
 #include "bandit/personalizer.h"
 
 #include "common/kernels/kernels.h"
+#include "obs/metrics.h"
 #include "optimizer/rules.h"
 
 namespace qo::bandit {
 namespace {
+
+/// The registry series `name` (0 before its first event).
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 /// True when entries are strictly increasing by index (sorted + deduped).
 bool IsCanonical(const std::vector<std::pair<uint32_t, double>>& entries) {
@@ -299,19 +305,24 @@ TEST(PersonalizerTest, UniformExplorationHasUniformPropensity) {
 }
 
 TEST(PersonalizerTest, RewardJoinSemantics) {
+  obs::Registry::Get().ZeroAllForTest();
   PersonalizerService service;
   RankRequest req;
   req.event_id = "e1";
   req.actions = ThreeActions();
-  ASSERT_TRUE(service.Rank(req).ok());
-  EXPECT_TRUE(service.Reward("e1", 1.5).ok());
-  // Double reward and unknown events are rejected.
-  EXPECT_FALSE(service.Reward("e1", 1.0).ok());
-  EXPECT_TRUE(service.Reward("ghost", 1.0).IsNotFound());
+  auto ranked = service.Rank(req);
+  ASSERT_TRUE(ranked.ok());
+  EXPECT_TRUE(service.Reward(ranked->event, 1.5).ok());
+  // Double reward, invalid and never-issued events are rejected.
+  EXPECT_EQ(service.Reward(ranked->event, 1.0).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(service.Reward(EventId{}, 1.0).IsNotFound());
+  EXPECT_TRUE(
+      service.Reward(EventId{ranked->event.value + 1}, 1.0).IsNotFound());
   EXPECT_EQ(service.rewarded_events(), 1u);
   EXPECT_EQ(service.logged_events(), 1u);
-  EXPECT_EQ(service.telemetry().reward_joins, 1u);
-  EXPECT_EQ(service.telemetry().reward_failures, 2u);
+  EXPECT_EQ(Series("bandit.reward_joins"), 1.0);
+  EXPECT_EQ(Series("bandit.reward_failures"), 3.0);
 }
 
 TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
@@ -323,6 +334,9 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
   PersonalizerService shared_service(config);
   FeatureVector context = SmallContext();
   std::vector<RankableAction> actions = ThreeActions();
+  // The shared service's counts: deltas around its own Rank calls.
+  double shared_combines = 0.0;
+  double shared_reused = 0.0;
 
   for (int i = 0; i < 120; ++i) {
     auto combined = CombineActionSet(context, actions);
@@ -336,7 +350,11 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
     pre.precombined = combined;
 
     auto r1 = inline_service.Rank(plain);
+    const double combines_before = Series("bandit.combines");
+    const double reused_before = Series("bandit.precombined_reused");
     auto r2 = shared_service.Rank(pre);
+    shared_combines += Series("bandit.combines") - combines_before;
+    shared_reused += Series("bandit.precombined_reused") - reused_before;
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
     EXPECT_EQ(r1->chosen_index, r2->chosen_index);
@@ -345,8 +363,8 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
     // and acting arms of one job share one combine.
     for (const auto& c : combined) EXPECT_GT(c.use_count(), 1);
     double reward = r1->chosen_index == 1 ? 2.0 : 0.5;
-    ASSERT_TRUE(inline_service.Reward(r1->event_id, reward).ok());
-    ASSERT_TRUE(shared_service.Reward(r2->event_id, reward).ok());
+    ASSERT_TRUE(inline_service.Reward(r1->event, reward).ok());
+    ASSERT_TRUE(shared_service.Reward(r2->event, reward).ok());
   }
   inline_service.Retrain();
   shared_service.Retrain();
@@ -355,8 +373,8 @@ TEST(PersonalizerTest, PrecombinedRanksIdenticallyAndSharesVectors) {
     EXPECT_DOUBLE_EQ(inline_service.model().Score(probe),
                      shared_service.model().Score(probe));
   }
-  EXPECT_GT(shared_service.telemetry().precombined_reused, 0u);
-  EXPECT_EQ(shared_service.telemetry().combines, 0u);
+  EXPECT_GT(shared_reused, 0.0);
+  EXPECT_EQ(shared_combines, 0.0);
 }
 
 TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
@@ -370,6 +388,13 @@ TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
   PersonalizerService full(config);
   FeatureVector context = SmallContext();
   std::vector<RankableAction> actions = ThreeActions();
+  // Examples each service trained on: deltas around its own retrains.
+  double incremental_trained = 0.0;
+  auto retrain = [](PersonalizerService& service) {
+    const double before = Series("bandit.examples_trained");
+    service.Retrain();
+    return Series("bandit.examples_trained") - before;
+  };
 
   for (int i = 0; i < 120; ++i) {
     RankRequest req;
@@ -384,18 +409,17 @@ TEST(PersonalizerTest, IncrementalRetrainMatchesFullRetrain) {
     ASSERT_TRUE(r2.ok());
     ASSERT_EQ(r1->chosen_index, r2->chosen_index);
     double reward = r1->chosen_index == 2 ? 1.5 : 0.5;
-    ASSERT_TRUE(incremental.Reward(r1->event_id, reward).ok());
-    ASSERT_TRUE(full.Reward(r2->event_id, reward).ok());
-    if ((i + 1) % 40 == 0) incremental.Retrain();
+    ASSERT_TRUE(incremental.Reward(r1->event, reward).ok());
+    ASSERT_TRUE(full.Reward(r2->event, reward).ok());
+    if ((i + 1) % 40 == 0) incremental_trained += retrain(incremental);
   }
-  full.Retrain();
+  const double full_trained = retrain(full);
   for (const auto& action : actions) {
     SparseVector probe = CombineFeatures(context, action.features);
     EXPECT_DOUBLE_EQ(incremental.model().Score(probe),
                      full.model().Score(probe));
   }
-  EXPECT_EQ(incremental.telemetry().examples_trained,
-            full.telemetry().examples_trained);
+  EXPECT_EQ(incremental_trained, full_trained);
 }
 
 TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
@@ -424,7 +448,7 @@ TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
       choices[t].push_back(r->chosen_index);
       probabilities[t].push_back(r->probability);
       double reward = r->chosen_index == 1 ? 2.0 : 0.5;
-      ASSERT_TRUE(service.Reward(r->event_id, reward).ok());
+      ASSERT_TRUE(service.Reward(r->event, reward).ok());
     }
     service.Retrain();
     for (const auto& action : actions) {
@@ -439,9 +463,11 @@ TEST(PersonalizerTest, RankPipelineByteIdenticalAcrossKernelTables) {
 }
 
 TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
+  obs::Registry::Get().ZeroAllForTest();
   PersonalizerService service({.seed = 13,
                                .retrain_interval = 16,
                                .retention_window = 64});
+  EventId first;
   // "Acting arm" events (every third) are never rewarded — retention must
   // reclaim them too.
   for (int i = 0; i < 400; ++i) {
@@ -452,15 +478,16 @@ TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
     req.explore_uniform = true;
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
+    if (i == 0) first = resp->event;
     if (i % 3 != 0) {
-      ASSERT_TRUE(service.Reward(resp->event_id, 1.0).ok());
+      ASSERT_TRUE(service.Reward(resp->event, 1.0).ok());
     }
     EXPECT_LE(service.resident_events(), 64u);
   }
   EXPECT_EQ(service.logged_events(), 400u);
-  EXPECT_GT(service.telemetry().events_compacted, 0u);
+  EXPECT_GT(Series("bandit.events_compacted"), 0.0);
   // A reward for an event beyond the retention window is an expired join.
-  EXPECT_TRUE(service.Reward("e0", 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(first, 1.0).IsNotFound());
   // The retained window still supports offline evaluation.
   EXPECT_TRUE(service.EvaluateOffline().ok());
 }
@@ -496,7 +523,7 @@ TEST(PersonalizerTest, LearnsToPickTheGoodAction) {
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
     double reward = resp->chosen_action_id == "a1" ? 2.0 : 0.5;
-    ASSERT_TRUE(service.Reward(resp->event_id, reward).ok());
+    ASSERT_TRUE(service.Reward(resp->event, reward).ok());
   }
   service.Retrain();
   int picked_good = 0;
@@ -524,8 +551,7 @@ TEST(PersonalizerTest, OfflineEvaluationComparesPolicies) {
     req.explore_uniform = true;
     auto resp = service.Rank(req);
     ASSERT_TRUE(resp.ok());
-    service.Reward(resp->event_id,
-                   resp->chosen_action_id == "a2" ? 3.0 : 0.1)
+    service.Reward(resp->event, resp->chosen_action_id == "a2" ? 3.0 : 0.1)
         .ok();
   }
   service.Retrain();

@@ -21,6 +21,7 @@
 #include "core/pipeline.h"
 #include "core/recommend.h"
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 #include "reference_compile.h"
 #include "sis/sis.h"
 #include "workload/workload.h"
@@ -38,6 +39,12 @@ struct IntHasher {
 
 using IntCache = cache::ShardedLruCache<int, int, IntHasher>;
 
+/// The registry series `name`: for cache.* the summed state of every live
+/// engine (each test below keeps exactly one alive).
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
+
 TEST(ShardedLruTest, HitMissCounters) {
   IntCache c(/*capacity=*/8, /*num_shards=*/1);
   EXPECT_FALSE(c.Get(1).has_value());
@@ -45,13 +52,15 @@ TEST(ShardedLruTest, HitMissCounters) {
   auto hit = c.Get(1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(*hit, 100);
-  telemetry::CacheCounters counters = c.Counters();
-  EXPECT_EQ(counters.hits, 1u);
-  EXPECT_EQ(counters.misses, 1u);
-  EXPECT_EQ(counters.evictions, 0u);
-  EXPECT_EQ(counters.entries, 1u);
-  EXPECT_EQ(counters.capacity, 8u);
-  EXPECT_DOUBLE_EQ(counters.hit_rate(), 0.5);
+  cache::Stats stats = c.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.capacity, 8u);
+  const double hit_ratio = static_cast<double>(stats.hits) /
+                           static_cast<double>(stats.hits + stats.misses);
+  EXPECT_DOUBLE_EQ(hit_ratio, 0.5);
 }
 
 TEST(ShardedLruTest, EvictsLeastRecentlyUsedInOrder) {
@@ -69,7 +78,7 @@ TEST(ShardedLruTest, EvictsLeastRecentlyUsedInOrder) {
   EXPECT_TRUE(c.Get(1).has_value());
   EXPECT_TRUE(c.Get(4).has_value());
   EXPECT_TRUE(c.Get(5).has_value());
-  EXPECT_EQ(c.Counters().evictions, 2u);
+  EXPECT_EQ(c.stats().evictions, 2u);
 }
 
 TEST(ShardedLruTest, CapacityBoundHoldsAcrossShards) {
@@ -78,7 +87,7 @@ TEST(ShardedLruTest, CapacityBoundHoldsAcrossShards) {
   for (int i = 0; i < 10000; ++i) c.Insert(i, i);
   // Per-shard slices round up, so allow one extra entry per shard.
   EXPECT_LE(c.size(), kCapacity + c.num_shards());
-  EXPECT_GE(c.Counters().evictions, 10000u - kCapacity - c.num_shards());
+  EXPECT_GE(c.stats().evictions, 10000u - kCapacity - c.num_shards());
 }
 
 TEST(ShardedLruTest, InsertRaceKeepsFirstValue) {
@@ -118,8 +127,8 @@ TEST(ShardedLruTest, ConcurrentMixedAccessIsConsistent) {
   for (auto& th : threads) th.join();
   // Whatever the interleaving, a key can only ever map to its own value.
   EXPECT_FALSE(wrong);
-  telemetry::CacheCounters counters = c.Counters();
-  EXPECT_EQ(counters.lookups(), 8u * 2000u);
+  cache::Stats stats = c.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 8u * 2000u);
 }
 
 // ---------------------------------------------------------------------------
@@ -258,9 +267,8 @@ TEST(CompilationCacheTest, CachedEqualsReferenceAcrossConfigs) {
       EXPECT_EQ(Serialize(**a), Serialize(**again)) << job.job_id;
     }
   }
-  telemetry::CompileCacheTelemetry t = cached.compile_cache_telemetry();
-  EXPECT_GT(t.compilations.hits, 0u);
-  EXPECT_GT(t.compilations.misses, 0u);
+  EXPECT_GT(Series("cache.compilations.hits"), 0.0);
+  EXPECT_GT(Series("cache.compilations.misses"), 0.0);
 }
 
 TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
@@ -271,10 +279,9 @@ TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
   ASSERT_TRUE(first.ok() && second.ok());
   // Same immutable entry, not a copy.
   EXPECT_EQ(first->get(), second->get());
-  telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
-  EXPECT_EQ(t.compilations.misses, 1u);
-  EXPECT_EQ(t.compilations.hits, 1u);
-  EXPECT_EQ(t.compilations.entries, 1u);
+  EXPECT_EQ(Series("cache.compilations.misses"), 1.0);
+  EXPECT_EQ(Series("cache.compilations.hits"), 1.0);
+  EXPECT_EQ(Series("cache.compilations.entries"), 1.0);
 }
 
 TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
@@ -282,12 +289,12 @@ TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
   workload::JobInstance job = Jobs(4, 8)[0];
   auto span = advisor::ComputeJobSpan(engine, job);
   ASSERT_TRUE(span.ok());
-  telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
   // The fix-point compiled `iterations` distinct configs but parsed once.
   EXPECT_GE(span->iterations, 2);
-  EXPECT_EQ(t.front_end.misses, 1u);
-  EXPECT_EQ(static_cast<int>(t.front_end.lookups()), span->iterations);
-  EXPECT_EQ(static_cast<int>(t.compilations.misses), span->iterations);
+  EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.hits") + Series("cache.front_end.misses"),
+            span->iterations);
+  EXPECT_EQ(Series("cache.compilations.misses"), span->iterations);
 
   // The front-end plan is shared by every consumer of this job.
   auto fe1 = engine.CompileFrontEnd(job);
@@ -318,11 +325,10 @@ TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
     auto out = engine.CompileShared(job, opt::RuleConfig::Default());
     (void)out;
   }
-  telemetry::CompileCacheTelemetry t = engine.compile_cache_telemetry();
   // Rounded-up per-shard slices: at most one extra entry per shard.
-  EXPECT_LE(t.compilations.entries, 16u + 2u);
-  EXPECT_LE(t.front_end.entries, 8u + 2u);
-  EXPECT_GT(t.compilations.evictions, 0u);
+  EXPECT_LE(Series("cache.compilations.entries"), 16.0 + 2.0);
+  EXPECT_LE(Series("cache.front_end.entries"), 8.0 + 2.0);
+  EXPECT_GT(Series("cache.compilations.evictions"), 0.0);
 }
 
 TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {

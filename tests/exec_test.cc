@@ -17,6 +17,7 @@
 #include "engine/engine.h"
 #include "exec/cluster.h"
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 #include "optimizer/optimizer.h"
 #include "reference_compile.h"
 #include "scope/compiler.h"
@@ -24,6 +25,11 @@
 
 namespace qo::exec {
 namespace {
+
+/// The registry series `name` (0 before its first event).
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 /// Exact (bitwise) equality over every JobMetrics field — the prepared
 /// execution path must not perturb a single ulp.
@@ -433,16 +439,17 @@ TEST(PreparedExecutionTest, ConcurrentProfileRunsMatchSerial) {
 TEST(PreparedExecutionTest, TelemetryCountersTrack) {
   scope::Catalog catalog = SimCatalog();
   opt::PhysicalPlan plan = CompileTestPlan(catalog);
+  obs::Registry::Get().ZeroAllForTest();
   ClusterSimulator sim;
-  EXPECT_EQ(sim.profile_prepares(), 0u);
+  EXPECT_EQ(Series("exec.prepares"), 0.0);
   ExecutionProfile profile = sim.Prepare(plan, catalog);
-  EXPECT_EQ(sim.profile_prepares(), 1u);
+  EXPECT_EQ(Series("exec.prepares"), 1.0);
   sim.Execute(profile, 1);
   sim.ExecuteRuns(profile, 2, 3);
-  EXPECT_EQ(sim.prepared_runs(), 4u);
+  EXPECT_EQ(Series("exec.prepared_runs"), 4.0);
   RunOnce(sim, plan, catalog, 1);
-  EXPECT_EQ(sim.prepared_runs(), 5u);
-  EXPECT_EQ(sim.profile_prepares(), 2u);
+  EXPECT_EQ(Series("exec.prepared_runs"), 5.0);
+  EXPECT_EQ(Series("exec.prepares"), 2.0);
 }
 
 TEST(PreparedExecutionTest, AAVarianceStructure) {
@@ -498,19 +505,21 @@ TEST(EnginePreparedTest, CachedRunsMatchReferenceCompilation) {
 
 TEST(EnginePreparedTest, ProfileSlotIsReusedAcrossRuns) {
   // Slot reuse rides on both runs sharing one cached CompilationOutput.
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine engine;
   const workload::JobInstance& job = EngineTestJob();
   auto first = engine.Run(job, opt::RuleConfig::Default(), 1);
   ASSERT_TRUE(first.ok());
   auto again = engine.Run(job, opt::RuleConfig::Default(), 2);
   ASSERT_TRUE(again.ok());
-  telemetry::ExecProfileTelemetry t = engine.exec_profile_telemetry();
   // The compilation cache hands back the same CompilationOutput, so the
   // second run reuses the profile prepared by the first.
-  EXPECT_EQ(t.prepares, 1u);
-  EXPECT_EQ(t.profile_misses, 1u);
-  EXPECT_GE(t.profile_hits, 1u);
-  EXPECT_GT(t.reuse_rate(), 0.0);
+  const double hits = Series("exec.profile_hits");
+  const double misses = Series("exec.profile_misses");
+  EXPECT_EQ(Series("exec.prepares"), 1.0);
+  EXPECT_EQ(misses, 1.0);
+  EXPECT_GE(hits, 1.0);
+  EXPECT_GT(hits / (hits + misses), 0.0);
   // And the profile both runs used is the one in the slot.
   auto profile = engine.PrepareProfile(job, *first->compilation);
   EXPECT_EQ(profile.get(), first->compilation->exec_profile.Load().get());

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "flighting/flighting.h"
+#include "obs/metrics.h"
 #include "sis/sis.h"
 #include "workload/workload.h"
 
@@ -89,6 +90,7 @@ TEST(FlightingTest, BatchRespectsQueueCapacityAndOrdersByPromise) {
 }
 
 TEST(FlightingTest, BatchReportsBudgetRejectedWhenBudgetRunsOut) {
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine engine;
   flight::FlightingConfig config;
   config.failure_prob = 0;
@@ -111,10 +113,10 @@ TEST(FlightingTest, BatchReportsBudgetRejectedWhenBudgetRunsOut) {
     rejected += r.outcome == flight::FlightOutcome::kBudgetRejected;
   }
   EXPECT_GE(rejected, 3);
-  // Legacy telemetry keeps counting rejections in the timeout total.
-  EXPECT_EQ(service.telemetry().flights_timeout,
-            static_cast<uint64_t>(rejected));
-  EXPECT_EQ(service.telemetry().flights_timeout_per_job, 0u);
+  // "flight.timeout" keeps counting rejections with per-job timeouts.
+  const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+  EXPECT_EQ(snap.SeriesValue("flight.timeout"), rejected);
+  EXPECT_EQ(snap.SeriesValue("flight.timeout_per_job"), 0.0);
 }
 
 TEST(FlightingTest, AARunsProduceVaryingLatencies) {

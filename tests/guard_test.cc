@@ -12,12 +12,18 @@
 #include "experiments/experiments.h"
 #include "guard/fault_injector.h"
 #include "guard/guardrail.h"
+#include "obs/metrics.h"
 #include "optimizer/rules.h"
 #include "sis/sis.h"
 #include "telemetry/workload_view.h"
 
 namespace qo {
 namespace {
+
+/// The registry series `name` (0 before its first event).
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
 
 // ---------------------------------------------------------------------------
 // Fault injector: pure, seeded, call-order independent.
@@ -211,6 +217,7 @@ telemetry::WorkloadView MakeDay(int day, const std::string& tpl, double pn,
 }
 
 TEST(HintWatchdogTest, RevertsSustainedRegressionAndQuarantines) {
+  obs::Registry::Get().ZeroAllForTest();
   sis::StatsInsightService sis;
   guard::HintWatchdog dog(
       {.regress_threshold = 0.25, .min_samples = 2, .hysteresis_days = 2,
@@ -240,8 +247,8 @@ TEST(HintWatchdogTest, RevertsSustainedRegressionAndQuarantines) {
   EXPECT_NEAR(actions[0].regression, 0.5, 1e-9);
   EXPECT_FALSE(sis.LookupHint("T").has_value());
   EXPECT_EQ(sis.hints_reverted(), 1u);
-  EXPECT_EQ(dog.reverts(), 1u);
-  EXPECT_EQ(dog.quarantines(), 1u);
+  EXPECT_EQ(Series("guard.watchdog_reverts"), 1.0);
+  EXPECT_EQ(Series("guard.watchdog_quarantines"), 1.0);
 
   // The quarantine blocks the pair until day 4 + 14.
   EXPECT_TRUE(dog.Quarantined("T", opt::rules::kEagerAggregationLeft, 5));
@@ -356,11 +363,13 @@ struct ChaosRunOutput {
   std::vector<std::string> report_lines;
   std::vector<std::string> sis_files;
   int sis_version = 0;
-  std::string guard_telemetry;
-  uint64_t faults_injected = 0;
+  std::string guardrails;
+  double faults_injected = 0.0;
 };
 
 ChaosRunOutput RunChaosPipeline(int threads, int days) {
+  // The guard counters are process-wide: start each run from zero.
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentConfig econfig{.num_templates = 24,
                                         .jobs_per_day = 48,
                                         .seed = 31,
@@ -387,8 +396,13 @@ ChaosRunOutput RunChaosPipeline(int threads, int days) {
     out.sis_files.push_back(file.Serialize());
   }
   out.sis_version = sis.current_version();
-  out.guard_telemetry = pipeline.steering_guard().telemetry().ToString();
-  out.faults_injected = pipeline.steering_guard().telemetry().faults_injected();
+  const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+  out.guardrails = guard::GuardrailsText(snap);
+  for (const char* fault :
+       {"guard.faults_compile", "guard.faults_flight", "guard.faults_hint_file",
+        "guard.faults_reward_drop", "guard.faults_telemetry_drop"}) {
+    out.faults_injected += snap.SeriesValue(fault);
+  }
   return out;
 }
 
@@ -397,12 +411,12 @@ TEST(ChaosDeterminismTest, SameSeedIsByteIdenticalAcrossThreadCounts) {
   ChaosRunOutput serial = RunChaosPipeline(1, kDays);
   ASSERT_EQ(serial.report_lines.size(), static_cast<size_t>(kDays));
   // The chaos config actually bites: faults were injected somewhere.
-  EXPECT_GT(serial.faults_injected, 0u);
+  EXPECT_GT(serial.faults_injected, 0.0);
   ChaosRunOutput parallel = RunChaosPipeline(4, kDays);
   EXPECT_EQ(serial.report_lines, parallel.report_lines);
   EXPECT_EQ(serial.sis_files, parallel.sis_files);
   EXPECT_EQ(serial.sis_version, parallel.sis_version);
-  EXPECT_EQ(serial.guard_telemetry, parallel.guard_telemetry);
+  EXPECT_EQ(serial.guardrails, parallel.guardrails);
 }
 
 TEST(ChaosDeterminismTest, SameSeedTwiceIsByteIdentical) {
@@ -410,7 +424,7 @@ TEST(ChaosDeterminismTest, SameSeedTwiceIsByteIdentical) {
   ChaosRunOutput b = RunChaosPipeline(2, 4);
   EXPECT_EQ(a.report_lines, b.report_lines);
   EXPECT_EQ(a.sis_files, b.sis_files);
-  EXPECT_EQ(a.guard_telemetry, b.guard_telemetry);
+  EXPECT_EQ(a.guardrails, b.guardrails);
 }
 
 // ---------------------------------------------------------------------------
@@ -419,6 +433,7 @@ TEST(ChaosDeterminismTest, SameSeedTwiceIsByteIdentical) {
 // ---------------------------------------------------------------------------
 
 TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
+  obs::Registry::Get().ZeroAllForTest();
   experiments::ExperimentConfig econfig{.num_templates = 16,
                                         .jobs_per_day = 48,
                                         .seed = 5,
@@ -460,8 +475,8 @@ TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
   EXPECT_GE(first_revert_day,
             first_hint_day + config.guard.watchdog.hysteresis_days);
   const auto& dog = pipeline.steering_guard().watchdog();
-  EXPECT_EQ(dog.reverts(), total_reverted);
-  EXPECT_GT(dog.quarantines(), 0u);
+  EXPECT_EQ(Series("guard.watchdog_reverts"), total_reverted);
+  EXPECT_GT(Series("guard.watchdog_quarantines"), 0.0);
   EXPECT_GT(env.regressions_injected(), 0u);
   // Quarantined pairs stayed blocked: the guard counters saw the pipeline
   // refuse to re-recommend at least one of them, or the cool-down simply

@@ -1,21 +1,25 @@
 // Observability tests: histogram bucket math and deterministic quantiles
 // against hand-computed goldens, snapshot-merge associativity across shards,
 // concurrent increment stress (exercised under TSAN in CI), registry
-// collector plumbing, run-report formatting, the Chrome-trace sink, and —
-// the load-bearing property — byte-identity of the fig10/table2 pipeline
-// with metrics on vs off.
+// collector plumbing, run-report formatting, the Chrome-trace sink, the
+// multi-engine series aggregation, and — the load-bearing property —
+// byte-identity of the fig10/table2 pipeline with metrics on vs off.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/symbol_table.h"
+#include "engine/engine.h"
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/span.h"
 #include "obs/trace.h"
+#include "workload/workload.h"
 
 namespace qo::obs {
 namespace {
@@ -406,9 +410,11 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
     ASSERT_TRUE(report.ok());
   }
   MetricsSnapshot snap = Registry::Get().Snapshot();
-  // One representative series per ported surface.
+  // One representative series per subsystem.
   EXPECT_TRUE(snap.HasSeries("cache.compilations.hits"));
-  EXPECT_TRUE(snap.HasSeries("optimizer.memo.hit_rate"));
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.full_hits") +
+                snap.SeriesValue("optimizer.memo.norm_hits"),
+            0.0);
   EXPECT_TRUE(snap.HasSeries("exec.prepared_runs"));
   EXPECT_TRUE(snap.HasSeries("bandit.ranks"));
   EXPECT_TRUE(snap.HasSeries("bandit.retention_window"));
@@ -424,6 +430,41 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   const HistogramSnapshot* run_day = snap.FindHistogram("span.run_day");
   ASSERT_NE(run_day, nullptr);
   EXPECT_EQ(run_day->total, 2u);
+}
+
+// Two live engines, each compiling one job twice (a 50% L2 hit rate each):
+// counts sum across engines, the process-wide symbol count is exported
+// once, and no ratio series exists for a sum to corrupt.
+TEST(MetricsIdentityTest, TwoEnginesSumCountsAndExportSymbolsOnce) {
+  Registry::Get().ZeroAllForTest();
+  workload::WorkloadDriver driver(
+      {.num_templates = 6, .jobs_per_day = 8, .seed = 77});
+  const workload::JobInstance job = driver.DayJobs(0)[0];
+  engine::ScopeEngine first;
+  engine::ScopeEngine second;
+  for (const engine::ScopeEngine* engine : {&first, &second}) {
+    for (int rep = 0; rep < 2; ++rep) {
+      ASSERT_TRUE(engine->CompileShared(job, opt::RuleConfig::Default()).ok());
+    }
+  }
+  const MetricsSnapshot snap = Registry::Get().Snapshot();
+  EXPECT_EQ(snap.SeriesValue("cache.compilations.hits"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("cache.compilations.misses"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("optimizer.symbols"),
+            static_cast<double>(SymbolTable::Global().size()));
+  for (const auto& [name, value] : snap.series) {
+    for (std::string_view derived : {"_rate", "_occupancy", "_utilization"}) {
+      EXPECT_FALSE(std::string_view(name).ends_with(derived)) << name;
+    }
+  }
+}
+
+TEST(CountTest, CountsWithMetricsOff) {
+  MetricsOverrideGuard off(0);
+  Counter& c = Registry::Get().counter("obs_test.counted_off");
+  const uint64_t before = c.Value();
+  for (int i = 0; i < 3; ++i) QO_OBS_COUNT("obs_test.counted_off", 2);
+  EXPECT_EQ(c.Value(), before + 6);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "obs/metrics.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
@@ -424,6 +425,7 @@ std::string OutputKey(const CompilationOutput& out) {
 
 TEST(CrossConfigMemoTest, OutputsIdenticalToReferenceCompile) {
   workload::JobInstance job = MemoJob();
+  obs::Registry::Get().ZeroAllForTest();
   engine::ScopeEngine with_memo;
 
   for (const RuleConfig& config : MemoConfigs()) {
@@ -437,10 +439,10 @@ TEST(CrossConfigMemoTest, OutputsIdenticalToReferenceCompile) {
   // The config sweep must actually have exercised the memo: config 100 is
   // never consulted (full-tier hit) and the exploration flip reuses the
   // normalized plan (normalized-tier hit).
-  telemetry::OptimizerTelemetry t = with_memo.optimizer_telemetry();
-  EXPECT_GT(t.memo_full_hits, 0u);
-  EXPECT_GT(t.memo_norm_hits, 0u);
-  EXPECT_GT(t.memo_misses, 0u);
+  const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.full_hits"), 0.0);
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.norm_hits"), 0.0);
+  EXPECT_GT(snap.SeriesValue("optimizer.memo.misses"), 0.0);
 }
 
 TEST(CrossConfigMemoTest, ThreadCountDoesNotChangeOutputs) {

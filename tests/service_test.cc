@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "experiments/experiments.h"
+#include "obs/metrics.h"
 #include "optimizer/rules.h"
 #include "runtime/runtime.h"
 #include "service/advisor_service.h"
@@ -141,15 +142,17 @@ TEST(AdvisorServiceTest, RankRewardCompileUploadFlow) {
   EXPECT_EQ(rewarded->rewarded_events, 1u);
   EXPECT_FALSE(session->Reward(ranked->event, 0.5).ok());
 
-  // String-fallback join for callers that only kept the id text.
+  // The request form joins on the same typed id; an invalid id (a request
+  // that never carried a RankResponse's event) is NotFound.
   auto ranked2 = session->Rank(TestRank("flow", 1));
   ASSERT_TRUE(ranked2.ok());
-  RewardRequest by_string;
-  by_string.event_id = ranked2->event_id;
-  by_string.reward = 1.0;
-  auto rewarded2 = session->Reward(by_string);
+  RewardRequest by_request;
+  by_request.event = ranked2->event;
+  by_request.reward = 1.0;
+  auto rewarded2 = session->Reward(by_request);
   ASSERT_TRUE(rewarded2.ok()) << rewarded2.status().ToString();
   EXPECT_EQ(rewarded2->rewarded_events, 2u);
+  EXPECT_TRUE(session->Reward(bandit::EventId{}, 1.0).status().IsNotFound());
 
   // Compile before any hints: default config, version-0 snapshot view.
   workload::JobInstance job = TestJob(0);
@@ -185,6 +188,7 @@ TEST(AdvisorServiceTest, RankRewardCompileUploadFlow) {
 }
 
 TEST(AdvisorServiceTest, TrainAndPublishAdvancesGenerations) {
+  obs::Registry::Get().ZeroAllForTest();
   AdvisorService advisor;
   auto session = advisor.OpenTenant("train");
   ASSERT_TRUE(session.ok());
@@ -207,6 +211,13 @@ TEST(AdvisorServiceTest, TrainAndPublishAdvancesGenerations) {
 
   // The drained batch is gone: a second cycle has nothing to train on.
   EXPECT_FALSE(session->TrainAndPublish());
+
+  // Every rewarded example reached the service's trainer; publications are
+  // not counted as learner retrains.
+  const obs::MetricsSnapshot counts = obs::Registry::Get().Snapshot();
+  EXPECT_EQ(counts.SeriesValue("bandit.reward_joins"), 8.0);
+  EXPECT_EQ(counts.SeriesValue("bandit.examples_trained"), 8.0);
+  EXPECT_EQ(counts.SeriesValue("bandit.retrains"), 0.0);
 }
 
 // --- RCU linearizability ----------------------------------------------------
