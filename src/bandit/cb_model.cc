@@ -120,4 +120,13 @@ void CbModel::Train(const std::vector<LoggedExample>& examples) {
   for (int e = 0; e < config_.epochs; ++e) TrainEpoch(examples);
 }
 
+void CbModel::SyncFrom(const CbModel& src,
+                       const std::vector<LoggedExample>& batch) {
+  for (const LoggedExample& ex : batch) {
+    if (ex.features == nullptr) continue;
+    for (uint32_t i : ex.features->indices()) weights_[i] = src.weights_[i];
+  }
+  updates_ = src.updates_;
+}
+
 }  // namespace qo::bandit

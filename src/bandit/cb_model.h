@@ -62,7 +62,15 @@ class CbModel {
   /// Runs config.epochs passes.
   void Train(const std::vector<LoggedExample>& examples);
 
+  /// Catches this model up to `src`, given that `src` is this model trained
+  /// on `batch`: copies only the weights the batch's features index, plus
+  /// the update count. Exact, because TrainEpoch writes no other weight —
+  /// afterwards both models score every vector bit-identically. Costs
+  /// O(batch features) instead of a full kDim copy.
+  void SyncFrom(const CbModel& src, const std::vector<LoggedExample>& batch);
+
   size_t updates() const { return updates_; }
+  const std::vector<float>& weights() const { return weights_; }
   const CbModelConfig& config() const { return config_; }
 
  private:

@@ -19,8 +19,7 @@ std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
 PersonalizerService::PersonalizerService(PersonalizerConfig config)
     : config_(config), model_(config.model), rng_(config.seed) {}
 
-Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
-                                               const CbModel* serving_model) {
+Result<RankResponse> PersonalizerService::Rank(const RankRequest& request) {
   QO_OBS_SPAN("rank");
   if (request.actions.empty()) {
     return Status::InvalidArgument("Rank requires at least one action");
@@ -38,12 +37,15 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
       }
     }
   }
-  const EventId event{event_syms_.Intern(request.event_id)};
-  if (event_index_.count(event) > 0) {
-    return Status::InvalidArgument("duplicate event id: " + request.event_id);
+  if (auto dup = resident_ids_.find(request.event_id);
+      dup != resident_ids_.end()) {
+    return Status::InvalidArgument("duplicate event id: " + request.event_id +
+                                   " (event #" + std::to_string(dup->second) +
+                                   ")");
   }
+  const EventId event{logged_events()};
   LoggedEvent ev;
-  ev.id = event;
+  ev.event_id = request.event_id;
   if (!request.precombined.empty()) {
     // Shared combined-feature cache hit: adopt the caller's vectors. The
     // probes and acting arm of one job all log the same shared_ptrs.
@@ -64,10 +66,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
     chosen = rng_.UniformInt(n);
     probability = 1.0 / static_cast<double>(n);
   } else {
-    // The serving model may be a frozen snapshot (the advisor service's RCU
-    // published model); the learner's own model is the offline default.
-    size_t best = BestAction(
-        serving_model != nullptr ? *serving_model : model_, ev, &rng_);
+    size_t best = BestAction(ev, &rng_);
     if (rng_.Bernoulli(config_.epsilon)) {
       chosen = rng_.UniformInt(n);
     } else {
@@ -79,8 +78,8 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
   }
   ev.chosen = chosen;
   ev.probability = probability;
-  event_index_[event] = log_base_ + log_.size();
   log_.push_back(std::move(ev));
+  resident_ids_.emplace(log_.back().event_id, event.value);
   QO_OBS_COUNT("bandit.ranks", 1);
   CompactLog();
 
@@ -93,8 +92,7 @@ Result<RankResponse> PersonalizerService::Rank(const RankRequest& request,
   return resp;
 }
 
-size_t PersonalizerService::BestAction(const CbModel& model,
-                                       const LoggedEvent& ev,
+size_t PersonalizerService::BestAction(const LoggedEvent& ev,
                                        Rng* rng) const {
   constexpr double kTieTolerance = 1e-9;
   // Score every arm in one vectorized batch, then replay the selection
@@ -102,7 +100,7 @@ size_t PersonalizerService::BestAction(const CbModel& model,
   // when the sequential loop would have (draws depend only on score
   // comparisons, and batch scores are bit-identical to Score()), so the
   // RNG stream is unchanged.
-  const std::vector<double> scores = model.ScoreBatch(ev.action_features);
+  const std::vector<double> scores = model_.ScoreBatch(ev.action_features);
   size_t best = 0;
   double best_score = -1e300;
   size_t ties = 0;
@@ -123,21 +121,20 @@ size_t PersonalizerService::BestAction(const CbModel& model,
 
 Status PersonalizerService::Reward(EventId event, double reward) {
   QO_OBS_SPAN("reward");
-  auto it = event_index_.find(event);
-  if (it == event_index_.end()) {
+  if (!event.valid() || event.value >= logged_events()) {
     QO_OBS_COUNT("bandit.reward_failures", 1);
-    // Only ids this service issued name a string (another service's id may
-    // lie past the end of this table).
-    const bool issued = event.valid() && event.value < event_syms_.size();
-    return Status::NotFound(
-        "unknown event id: " +
-        (issued ? event_syms_.Resolve(event.value) : "<not issued here>"));
+    return Status::NotFound("unknown event id: never issued here");
   }
-  LoggedEvent& ev = log_[it->second - log_base_];
+  if (event.value < log_base_) {
+    QO_OBS_COUNT("bandit.reward_failures", 1);
+    return Status::NotFound("event #" + std::to_string(event.value) +
+                            " expired from the retention window");
+  }
+  LoggedEvent& ev = log_[event.value - log_base_];
   if (ev.has_reward) {
     QO_OBS_COUNT("bandit.reward_failures", 1);
     return Status::FailedPrecondition("event already rewarded: " +
-                                      event_syms_.Resolve(event.value));
+                                      ev.event_id);
   }
   ev.has_reward = true;
   ev.reward = reward;
@@ -156,6 +153,8 @@ void PersonalizerService::Retrain() {
   QO_OBS_SPAN("retrain");
   if (!pending_.empty()) {
     model_.Train(pending_);
+    ++live_writes_;
+    DropSpare();
     QO_OBS_COUNT("bandit.examples_trained", pending_.size());
     // clear() keeps the batch buffer's capacity (bounded by the retrain
     // interval) so the next interval fills it without reallocating.
@@ -166,13 +165,44 @@ void PersonalizerService::Retrain() {
   CompactLog();
 }
 
-std::vector<LoggedExample> PersonalizerService::TakePendingBatch() {
+std::optional<PersonalizerService::TrainTicket>
+PersonalizerService::BeginTrain() {
   std::vector<LoggedExample> batch = std::move(pending_);
   pending_.clear();
   QO_OBS_COUNT("bandit.examples_trained", batch.size());
   rewarded_at_last_train_ = rewarded_;
   CompactLog();
-  return batch;
+  if (batch.empty()) return std::nullopt;
+  if (!spare_.has_value()) {
+    QO_OBS_COUNT("bandit.model_copies", 1);
+    return TrainTicket{std::move(batch), model_, live_writes_};
+  }
+  // The spare is the previous generation: model_ is spare_ trained on lag_,
+  // so copying the weights lag_ indexes makes the two equal.
+  spare_->SyncFrom(model_, lag_);
+  TrainTicket ticket{std::move(batch), std::move(*spare_), live_writes_};
+  DropSpare();
+  return ticket;
+}
+
+void PersonalizerService::FinishTrain(TrainTicket ticket) {
+  if (ticket.base_writes != live_writes_) {
+    // Something else trained the live model after BeginTrain: the ticket's
+    // model misses that training, so train the live model on the batch too.
+    model_.Train(ticket.batch);
+    ++live_writes_;
+    DropSpare();
+    return;
+  }
+  spare_.emplace(std::move(model_));
+  model_ = std::move(ticket.model);
+  lag_ = std::move(ticket.batch);
+  ++live_writes_;
+}
+
+void PersonalizerService::DropSpare() {
+  spare_.reset();
+  lag_.clear();
 }
 
 void PersonalizerService::CompactLog() {
@@ -182,7 +212,7 @@ void PersonalizerService::CompactLog() {
   // and an unrewarded event older than the window has exceeded the
   // reward-join horizon.
   while (log_.size() > config_.retention_window) {
-    event_index_.erase(log_.front().id);
+    resident_ids_.erase(log_.front().event_id);
     log_.pop_front();
     ++log_base_;
     QO_OBS_COUNT("bandit.events_compacted", 1);
@@ -200,7 +230,7 @@ PersonalizerService::EvaluateOffline() const {
     logged_sum += ev.reward;
     // IPS: reward counts only when the target (greedy) policy agrees with
     // the logged action, re-weighted by the logging propensity.
-    if (BestAction(model_, ev, nullptr) == ev.chosen) {
+    if (BestAction(ev, nullptr) == ev.chosen) {
       ips_sum += ev.reward / std::max(ev.probability, 1e-6);
     }
   }

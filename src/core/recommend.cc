@@ -229,7 +229,7 @@ std::vector<Recommendation> Recommender::RecommendDay(
         } else if (!personalizer_->Reward(log_rank->event, probe.reward)
                         .ok()) {
           // Typed join: the id rode back on the RankResponse, so the reward
-          // lands with one integer map probe — no string hashing.
+          // lands with one log index — no string hashing.
           ++local.reward_failures;
         }
       }

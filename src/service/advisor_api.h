@@ -9,7 +9,7 @@
 // PersonalizerService::Rank/Reward, and StatsInsightService::UploadHintFile.
 // Every call is tenant-addressed; AdvisorService routes it to that tenant's
 // isolated state (engine + compile cache, personalizer, SIS) and serves
-// reads from the tenant's published RCU snapshot (see advisor_service.h).
+// compiles from the tenant's published RCU snapshot (see advisor_service.h).
 #ifndef QO_SERVICE_ADVISOR_API_H_
 #define QO_SERVICE_ADVISOR_API_H_
 
@@ -40,13 +40,13 @@ struct RankRequest {
 struct RankResponse {
   std::string event_id;
   /// Typed id for the reward join — carry this into RewardRequest::event
-  /// and the join is one integer map probe, no string hashing.
+  /// and the join indexes the event log, no string hashing.
   bandit::EventId event;
   size_t chosen_index = 0;
   std::string chosen_action_id;
   double probability = 1.0;  ///< propensity of the chosen action
-  /// Publication sequence of the model snapshot that scored this request
-  /// (the tenant's RCU snapshot at load time).
+  /// The tenant's latest publication when the live model scored this
+  /// request (read under the tenant mutex that also orders publications).
   uint64_t snapshot_sequence = 0;
 };
 

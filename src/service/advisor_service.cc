@@ -1,6 +1,7 @@
 #include "service/advisor_service.h"
 
 #include <limits>
+#include <optional>
 #include <utility>
 
 namespace qo::service {
@@ -22,7 +23,7 @@ TenantConfig WithRetrainOwnership(TenantConfig cfg) {
 uint64_t ServiceSnapshot::Fingerprint(const ServiceSnapshot& snap) {
   uint64_t h = 0x9e3779b97f4a7c15ULL * (snap.sequence + 1);
   h ^= 0xbf58476d1ce4e5b9ULL * (snap.model_generation + 1);
-  h ^= 0x94d049bb133111ebULL * (static_cast<uint64_t>(snap.model.updates()) + 1);
+  h ^= 0x94d049bb133111ebULL * (static_cast<uint64_t>(snap.model_updates) + 1);
   if (snap.hints != nullptr) {
     h ^= 0xd6e8feb86659fd93ULL *
          (static_cast<uint64_t>(snap.hints->version()) + 1);
@@ -106,7 +107,7 @@ void AdvisorService::PublishLocked(TenantState& t) {
   auto snap = std::make_shared<ServiceSnapshot>();
   snap->sequence = ++t.publications;
   snap->model_generation = t.model_generation;
-  snap->model = t.personalizer.model();  // frozen copy, cheap (weights only)
+  snap->model_updates = t.personalizer.model().updates();
   snap->hints = t.sis.BuildSnapshotView();
   snap->checksum = ServiceSnapshot::Fingerprint(*snap);
   t.snapshot.store(std::shared_ptr<const ServiceSnapshot>(std::move(snap)));
@@ -119,9 +120,6 @@ Result<RankResponse> AdvisorService::Rank(const RankRequest& request) {
   if (t == nullptr) {
     return Status::NotFound("unknown tenant: " + request.tenant);
   }
-  // Snapshot load (pointer copy only): ranking scores against this frozen
-  // model even if a retrain publishes a successor mid-call.
-  std::shared_ptr<const ServiceSnapshot> snap = t->snapshot.load();
   bandit::RankRequest rank;
   rank.event_id = request.event_id;
   rank.context = request.context;
@@ -130,15 +128,18 @@ Result<RankResponse> AdvisorService::Rank(const RankRequest& request) {
   RankResponse resp;
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    auto ranked = t->personalizer.Rank(rank, &snap->model);
+    // Scores the live model, which only changes under this lock.
+    auto ranked = t->personalizer.Rank(rank);
     if (!ranked.ok()) return ranked.status();
+    // Publications are stored under this lock too, so this is the sequence
+    // of the snapshot current while the live model scored.
+    resp.snapshot_sequence = t->publications;
     resp.event_id = std::move(ranked->event_id);
     resp.event = ranked->event;
     resp.chosen_index = ranked->chosen_index;
     resp.chosen_action_id = std::move(ranked->chosen_action_id);
     resp.probability = ranked->probability;
   }
-  resp.snapshot_sequence = snap->sequence;
   rank_requests_->Add();
   if (start != 0) {
     const uint64_t d = obs::MonotonicNowNs() - start;
@@ -234,20 +235,19 @@ std::shared_ptr<const ServiceSnapshot> AdvisorService::CurrentSnapshot(
 bool AdvisorService::TrainAndPublish(const std::string& tenant) {
   TenantState* t = FindTenant(tenant);
   if (t == nullptr) return false;
-  std::vector<bandit::LoggedExample> batch;
-  bandit::CbModel model;
+  std::lock_guard<std::mutex> train_lock(t->train_mu);
+  std::optional<bandit::PersonalizerService::TrainTicket> ticket;
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    batch = t->personalizer.TakePendingBatch();
-    if (batch.empty()) return false;
-    model = t->personalizer.model();
+    ticket = t->personalizer.BeginTrain();
+    if (!ticket.has_value()) return false;
   }
   // The expensive step runs with no lock held: readers keep ranking against
-  // the current snapshot and rewarding into the next pending batch.
-  model.Train(batch);
+  // the live model and rewarding into the next pending batch.
+  ticket->model.Train(ticket->batch);
   {
     std::lock_guard<std::mutex> lock(t->mu);
-    t->personalizer.AdoptModel(model);
+    t->personalizer.FinishTrain(std::move(*ticket));
     ++t->model_generation;
     PublishLocked(*t);
   }
@@ -391,6 +391,10 @@ const engine::ScopeEngine& TenantSession::engine() const {
 
 const sis::StatsInsightService& TenantSession::sis() const {
   return service_->FindTenant(tenant_)->sis;
+}
+
+const bandit::PersonalizerService& TenantSession::personalizer() const {
+  return service_->FindTenant(tenant_)->personalizer;
 }
 
 advisor::QoAdvisorPipeline* TenantSession::pipeline() const {

@@ -11,18 +11,26 @@
 //    StatsInsightService (versioned hints). A short per-tenant mutex guards
 //    the mutable learner/SIS state.
 //  - Reads that must never wait on training go through an RCU snapshot: a
-//    shared_ptr<const ServiceSnapshot> holding a frozen CbModel copy and an
-//    immutable sis::SnapshotView, published through a SnapshotSlot whose
-//    micro-mutex is held only for the pointer/refcount copy — never across
-//    training, compilation or any other long work. Rank scores against the
-//    snapshot model; Compile resolves hints against the snapshot view
-//    without touching the tenant mutex (the engine is internally
-//    synchronized).
+//    shared_ptr<const ServiceSnapshot> holding an immutable
+//    sis::SnapshotView and the model's generation and update count (no
+//    model copy), published through a SnapshotSlot whose micro-mutex is
+//    held only for the pointer/refcount copy — never across training,
+//    compilation or any other long work. Compile resolves hints against the
+//    snapshot view without touching the tenant mutex (the engine is
+//    internally synchronized). Rank, which must log its decision under the
+//    tenant mutex anyway, scores the learner's live model there; its
+//    snapshot_sequence is the tenant's latest publication, read under the
+//    same lock.
 //  - The retrain/ingest loop (background thread, or TrainAndPublish called
-//    at points the owner picks) drains the pending reward batch and copies
-//    the model under the tenant mutex, trains the copy OUTSIDE the mutex,
-//    then adopts + republishes under the mutex again. Readers only ever
-//    contend with those two short critical sections, never with training.
+//    at points the owner picks) runs one cycle per tenant at a time (the
+//    tenant's train mutex). Under the tenant mutex it drains the pending
+//    reward batch and takes the learner's recycled spare model, caught up
+//    to the live model by copying only the weights the previous batch
+//    touched; it trains the spare OUTSIDE the mutex, then swaps it in as
+//    the live model and republishes under the mutex again. After a
+//    tenant's first cycle both critical sections cost O(weights a batch
+//    touches), not a model copy, and readers never contend with training
+//    itself.
 //
 // Determinism: one tenant's request stream is served sequentially (the
 // tenant mutex) and all cross-tenant state is either immutable or purely
@@ -46,7 +54,6 @@
 #include <thread>
 #include <vector>
 
-#include "bandit/cb_model.h"
 #include "bandit/personalizer.h"
 #include "core/pipeline.h"
 #include "engine/engine.h"
@@ -66,10 +73,10 @@ namespace qo::service {
 struct ServiceSnapshot {
   /// Publication number, monotonic per tenant (starts at 1).
   uint64_t sequence = 0;
-  /// Retrain cycles folded into `model` (0 = cold-start model).
+  /// Retrain cycles folded into the live model (0 = cold-start model).
   uint64_t model_generation = 0;
-  /// Frozen scorer — a copy, never shared with the learner's live model.
-  bandit::CbModel model;
+  /// The live model's SGD update count at publication (CbModel::updates).
+  size_t model_updates = 0;
   /// Immutable hint view (never null; empty view before the first upload).
   std::shared_ptr<const sis::SnapshotView> hints;
   /// Integrity fingerprint over the fields above, computed at publish time.
@@ -126,7 +133,7 @@ class SnapshotSlot {
       ptr_ = std::move(next);
     }
     // `prev` dies here, outside the lock: dropping the last reference frees
-    // a whole model copy and must not extend the critical section.
+    // a hint view and must not extend the critical section.
   }
 
  private:
@@ -180,6 +187,9 @@ class TenantSession {
   /// Safe only while no concurrent writer runs; concurrent readers should
   /// use snapshot()->hints instead.
   const sis::StatsInsightService& sis() const;
+  /// Read-only view of the tenant's learner (live model, event log). Same
+  /// single-writer caveat as sis().
+  const bandit::PersonalizerService& personalizer() const;
   /// The tenant's offline pipeline — null until the first RunPipelineDay.
   /// Same single-writer caveat as sis(): for post-run inspection (guard
   /// telemetry, validation samples), not concurrent access.
@@ -227,9 +237,10 @@ class AdvisorService : public AdvisorApi {
   std::shared_ptr<const ServiceSnapshot> CurrentSnapshot(
       const std::string& tenant) const;
 
-  /// One retrain/publish cycle for one tenant: drain + copy under the
-  /// tenant mutex, train outside it, adopt + publish under it again.
-  /// Returns false when no rewards were pending (nothing published).
+  /// One retrain/publish cycle for one tenant, serialized per tenant:
+  /// BeginTrain under the tenant mutex, train outside it, FinishTrain +
+  /// publish under it again. Returns false when no rewards were pending
+  /// (nothing published).
   bool TrainAndPublish(const std::string& tenant);
   /// TrainAndPublish over every open tenant; returns how many published.
   size_t TrainAndPublishAll();
@@ -260,6 +271,11 @@ class AdvisorService : public AdvisorApi {
     /// Guards sis/personalizer/pipeline and snapshot *publication* (readers
     /// load the snapshot lock-free; only writers serialize here).
     std::mutex mu;
+    /// Held across a whole TrainAndPublish (taken before mu, never under
+    /// it): cycles run one at a time, so two cycles never train copies of
+    /// one base model. Only an inline Retrain between BeginTrain and
+    /// FinishTrain makes FinishTrain fall back to training in place.
+    std::mutex train_mu;
     sis::StatsInsightService sis;
     bandit::PersonalizerService personalizer;
     /// Lazily built on first RunPipelineDay (borrows engine/personalizer/

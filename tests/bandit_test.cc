@@ -3,6 +3,7 @@
 // (including shared combined features, incremental retraining and log
 // retention), and offline (IPS) evaluation.
 #include <algorithm>
+#include <cstring>
 #include <gtest/gtest.h>
 
 #include "bandit/cb_model.h"
@@ -247,6 +248,61 @@ TEST(CbModelTest, ScoreBatchBitIdenticalToPerArmScoreAcrossTables) {
   EXPECT_EQ(per_table[0], per_table[1]);
 }
 
+/// "<prefix><i>", built by appending (GCC 12 -Wrestrict misfires on
+/// "literal" + std::string temporaries).
+std::string Numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
+/// True when both models hold the same weight bits and update count.
+bool BitwiseEqual(const CbModel& a, const CbModel& b) {
+  return a.updates() == b.updates() &&
+         a.weights().size() == b.weights().size() &&
+         std::memcmp(a.weights().data(), b.weights().data(),
+                     a.weights().size() * sizeof(float)) == 0;
+}
+
+/// `n` examples over contexts "ctx<k>" x action rules, so consecutive
+/// batches touch partly different weights.
+std::vector<LoggedExample> ContextBatch(int first, int n) {
+  std::vector<LoggedExample> batch;
+  for (int i = first; i < first + n; ++i) {
+    FeatureVector ctx;
+    ctx.AddNamed(Numbered("ctx", i % 11), 1.0);
+    ctx.AddNamed("bias", 0.5);
+    FeatureVector action = BuildActionFeatures(10 + i % 5, i % 3 == 0);
+    batch.push_back({CombineFeaturesShared(ctx, action), (i % 4) * 0.5,
+                     0.25 + (i % 3) * 0.25});
+  }
+  return batch;
+}
+
+TEST(CbModelTest, SyncFromCopiesExactlyTheBatchWeights) {
+  // `lagging` is `live` one batch ago; syncing it over that batch's
+  // features must make the two bitwise equal, with no full copy.
+  CbModel live({.learning_rate = 0.2, .l2 = 1e-3, .epochs = 3});
+  live.Train(ContextBatch(0, 40));
+  CbModel lagging = live;
+  const std::vector<LoggedExample> batch = ContextBatch(40, 17);
+  live.Train(batch);
+  ASSERT_FALSE(BitwiseEqual(lagging, live));
+
+  // A different batch's features do not cover the change.
+  CbModel wrong = lagging;
+  wrong.SyncFrom(live, ContextBatch(0, 3));
+  EXPECT_FALSE(BitwiseEqual(wrong, live));
+
+  lagging.SyncFrom(live, batch);
+  EXPECT_TRUE(BitwiseEqual(lagging, live));
+  // Equal models keep training in lockstep.
+  const std::vector<LoggedExample> next = ContextBatch(57, 9);
+  lagging.Train(next);
+  live.Train(next);
+  EXPECT_TRUE(BitwiseEqual(lagging, live));
+}
+
 std::vector<RankableAction> ThreeActions() {
   std::vector<RankableAction> actions;
   for (int i = 0; i < 3; ++i) {
@@ -277,6 +333,82 @@ TEST(PersonalizerTest, RankRequiresActionsAndUniqueEventIds) {
   req.actions = ThreeActions();
   EXPECT_TRUE(service.Rank(req).ok());
   EXPECT_FALSE(service.Rank(req).ok());  // duplicate id
+}
+
+TEST(PersonalizerTest, CompactedEventIdStaysNotFoundAfterStringReuse) {
+  // An EventId is the event's global log index, never reused: once "e0" is
+  // compacted, ranking "e0" again logs a new event, and a stale reward for
+  // the old one must not join it.
+  PersonalizerService service({.seed = 3, .retention_window = 4});
+  RankRequest req;
+  req.actions = ThreeActions();
+  req.explore_uniform = true;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 5; ++i) {
+    req.event_id = Numbered("e", i);
+    auto ranked = service.Rank(req);
+    ASSERT_TRUE(ranked.ok());
+    ids.push_back(ranked->event);
+  }
+  ASSERT_EQ(service.resident_events(), 4u);  // "e0" compacted
+  req.event_id = "e0";
+  auto reused = service.Rank(req);
+  ASSERT_TRUE(reused.ok()) << reused.status().ToString();
+  EXPECT_NE(reused->event, ids[0]);
+
+  EXPECT_TRUE(service.Reward(ids[0], 1.0).IsNotFound());
+  EXPECT_TRUE(service.Reward(reused->event, 1.0).ok());
+  // The stale reward touched nothing: the new event took exactly one.
+  EXPECT_EQ(service.rewarded_events(), 1u);
+  EXPECT_EQ(service.Reward(reused->event, 1.0).code(),
+            StatusCode::kFailedPrecondition);
+  // A resident id string is still a duplicate.
+  req.event_id = "e4";
+  EXPECT_EQ(service.Rank(req).status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(PersonalizerTest, FinishTrainAfterForeignWriteKeepsBothBatches) {
+  // An inline Retrain between BeginTrain and FinishTrain makes the ticket's
+  // model stale; FinishTrain must still fold the ticket's batch in and
+  // drop the spare, so the next cycle copies the live model afresh.
+  obs::Registry::Get().ZeroAllForTest();
+  PersonalizerConfig config{.seed = 5, .retrain_interval = 1000000};
+  PersonalizerService service(config);
+  auto rank_and_reward = [&service](int i) {
+    RankRequest req;
+    req.event_id = Numbered("e", i);
+    req.context = SmallContext();
+    req.actions = ThreeActions();
+    req.explore_uniform = true;
+    auto ranked = service.Rank(req);
+    ASSERT_TRUE(ranked.ok());
+    ASSERT_TRUE(service.Reward(ranked->event, (i % 3) * 0.5).ok());
+  };
+  for (int i = 0; i < 6; ++i) rank_and_reward(i);
+  auto ticket = service.BeginTrain();
+  ASSERT_TRUE(ticket.has_value());
+  ticket->model.Train(ticket->batch);
+  service.FinishTrain(std::move(*ticket));  // spare: the cold model
+
+  for (int i = 6; i < 12; ++i) rank_and_reward(i);
+  ticket = service.BeginTrain();
+  ASSERT_TRUE(ticket.has_value());
+  for (int i = 12; i < 16; ++i) rank_and_reward(i);
+  service.Retrain();  // foreign write while the ticket is out
+  ticket->model.Train(ticket->batch);
+  service.FinishTrain(std::move(*ticket));
+
+  const int epochs = config.model.epochs;
+  EXPECT_EQ(service.model().updates(), 16u * epochs);
+  EXPECT_EQ(Series("bandit.examples_trained"), 16.0);
+  EXPECT_EQ(Series("bandit.model_copies"), 1.0);
+
+  // No spare survived: the next cycle copies, and its model is the live one.
+  rank_and_reward(16);
+  ticket = service.BeginTrain();
+  ASSERT_TRUE(ticket.has_value());
+  EXPECT_EQ(Series("bandit.model_copies"), 2.0);
+  EXPECT_TRUE(BitwiseEqual(ticket->model, service.model()));
 }
 
 TEST(PersonalizerTest, RankRejectsMismatchedPrecombined) {
@@ -483,6 +615,9 @@ TEST(PersonalizerTest, RetentionBoundsResidentEvents) {
       ASSERT_TRUE(service.Reward(resp->event, 1.0).ok());
     }
     EXPECT_LE(service.resident_events(), 64u);
+    // The duplicate-detection index is resident-only too.
+    EXPECT_LE(service.indexed_event_ids(), 64u);
+    EXPECT_EQ(service.indexed_event_ids(), service.resident_events());
   }
   EXPECT_EQ(service.logged_events(), 400u);
   EXPECT_GT(Series("bandit.events_compacted"), 0.0);

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,6 +91,14 @@ workload::JobInstance TestJob(int salt) {
   return jobs[static_cast<size_t>(salt) % jobs.size()];
 }
 
+/// "<prefix><i>", built by appending (GCC 12 -Wrestrict misfires on
+/// "literal" + std::string temporaries).
+std::string Numbered(const char* prefix, int i) {
+  std::string s = prefix;
+  s += std::to_string(i);
+  return s;
+}
+
 RankRequest TestRank(const std::string& tenant, int i) {
   RankRequest rank;
   rank.tenant = tenant;
@@ -97,8 +106,8 @@ RankRequest TestRank(const std::string& tenant, int i) {
   rank.context.AddNamed("ctx", 1.0);
   for (int a = 0; a < 3; ++a) {
     bandit::RankableAction action;
-    action.action_id = "a" + std::to_string(a);
-    action.features.AddNamed("arm" + std::to_string(a), 1.0);
+    action.action_id = Numbered("a", a);
+    action.features.AddNamed(Numbered("arm", a), 1.0);
     rank.actions.push_back(std::move(action));
   }
   return rank;
@@ -206,7 +215,7 @@ TEST(AdvisorServiceTest, TrainAndPublishAdvancesGenerations) {
   std::shared_ptr<const ServiceSnapshot> snap = session->snapshot();
   EXPECT_EQ(snap->model_generation, 1u);
   EXPECT_EQ(snap->sequence, 2u);
-  EXPECT_GT(snap->model.updates(), 0u);
+  EXPECT_GT(snap->model_updates, 0u);
   EXPECT_EQ(snap->checksum, ServiceSnapshot::Fingerprint(*snap));
 
   // The drained batch is gone: a second cycle has nothing to train on.
@@ -218,6 +227,149 @@ TEST(AdvisorServiceTest, TrainAndPublishAdvancesGenerations) {
   EXPECT_EQ(counts.SeriesValue("bandit.reward_joins"), 8.0);
   EXPECT_EQ(counts.SeriesValue("bandit.examples_trained"), 8.0);
   EXPECT_EQ(counts.SeriesValue("bandit.retrains"), 0.0);
+}
+
+// --- Retrain cycles: the spare handoff ---------------------------------------
+
+/// The registry series `name` (0 before its first event).
+double Series(const char* name) {
+  return obs::Registry::Get().Snapshot().SeriesValue(name);
+}
+
+/// TestRank plus one of 13 context features, so consecutive retrain
+/// batches touch partly different weights: a catch-up that missed a
+/// weight the previous batch wrote would score differently.
+RankRequest VariedRank(const std::string& tenant, int i) {
+  RankRequest rank = TestRank(tenant, i);
+  rank.context.AddNamed(Numbered("c", i % 13), 1.0);
+  return rank;
+}
+
+/// The same request addressed to a bare learner.
+bandit::RankRequest ForLearner(const RankRequest& request) {
+  bandit::RankRequest rank;
+  rank.event_id = request.event_id;
+  rank.context = request.context;
+  rank.actions = request.actions;
+  rank.explore_uniform = request.explore_uniform;
+  return rank;
+}
+
+/// Scores of every context x arm combination VariedRank produces.
+std::vector<double> ProbeScores(const bandit::CbModel& model) {
+  std::vector<double> scores;
+  for (int i = 0; i < 13; ++i) {
+    RankRequest rank = VariedRank("probe", i);
+    for (const bandit::RankableAction& action : rank.actions) {
+      scores.push_back(
+          model.Score(bandit::CombineFeatures(rank.context, action.features)));
+    }
+  }
+  return scores;
+}
+
+/// True when both models hold the same weight bits and update count.
+bool BitwiseEqual(const bandit::CbModel& a, const bandit::CbModel& b) {
+  return a.updates() == b.updates() &&
+         a.weights().size() == b.weights().size() &&
+         std::memcmp(a.weights().data(), b.weights().data(),
+                     a.weights().size() * sizeof(float)) == 0;
+}
+
+/// Ranks `op` on both the tenant and the reference learner, checks they
+/// chose alike and rewards both identically. Returns how many inline
+/// retrains the tenant's reward triggered.
+double RankAndRewardBoth(TenantSession& session,
+                         bandit::PersonalizerService& reference, int op) {
+  const RankRequest request = VariedRank(session.tenant(), op);
+  auto ranked = session.Rank(request);
+  auto expected = reference.Rank(ForLearner(request));
+  EXPECT_TRUE(ranked.ok() && expected.ok());
+  if (!ranked.ok() || !expected.ok()) return 0.0;
+  EXPECT_EQ(ranked->chosen_index, expected->chosen_index) << "op " << op;
+  EXPECT_EQ(ranked->probability, expected->probability) << "op " << op;
+  const double reward = ranked->chosen_index == static_cast<size_t>(op % 3)
+                            ? 1.0
+                            : 0.0;
+  const double before = Series("bandit.retrains");
+  EXPECT_TRUE(session.Reward(ranked->event, reward).ok());
+  const double inline_retrains = Series("bandit.retrains") - before;
+  EXPECT_TRUE(reference.Reward(expected->event, reward).ok());
+  return inline_retrains;
+}
+
+// 120 retrain cycles with a hint upload after each: the live model must
+// stay bit-identical to a learner that retrains inline on the same reward
+// stream, while the whole run makes exactly one full model copy (the first
+// cycle's; every later cycle recycles the spare).
+TEST(AdvisorServiceRetrainTest, SpareHandoffMatchesInlineRetrain) {
+  obs::Registry::Get().ZeroAllForTest();
+  AdvisorService advisor;
+  auto session = advisor.OpenTenant("spare");
+  ASSERT_TRUE(session.ok());
+  // The tenant's own config: the service owns cadence, so the reference
+  // never retrains on its own either.
+  bandit::PersonalizerService reference(session->personalizer().config());
+  const int kCycles = 120;
+  const int kOpsPerCycle = 6;
+  int op = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    for (int k = 0; k < kOpsPerCycle; ++k) {
+      RankAndRewardBoth(*session, reference, op++);
+    }
+    ASSERT_TRUE(session->TrainAndPublish());
+    reference.Retrain();
+    ASSERT_EQ(ProbeScores(session->personalizer().model()),
+              ProbeScores(reference.model()))
+        << "cycle " << c;
+    // An upload republishes between cycles without touching the model.
+    sis::HintFile hints;
+    hints.day = c;
+    hints.entries.push_back({.template_name = Numbered("T", c % 4),
+                             .rule_id = opt::rules::kBroadcastJoinAggressive,
+                             .enable = true});
+    ASSERT_TRUE(session->UploadHints(hints).ok());
+  }
+  EXPECT_TRUE(BitwiseEqual(session->personalizer().model(), reference.model()));
+  std::shared_ptr<const ServiceSnapshot> snap = session->snapshot();
+  EXPECT_EQ(snap->model_generation, static_cast<uint64_t>(kCycles));
+  EXPECT_EQ(snap->model_updates, reference.model().updates());
+  EXPECT_EQ(snap->checksum, ServiceSnapshot::Fingerprint(*snap));
+  EXPECT_EQ(Series("bandit.model_copies"), 1.0);
+}
+
+// A learner that also retrains inline (a pipeline-style tenant): each
+// inline Retrain writes the live model behind the spare's back, so the
+// spare is dropped and the next cycle pays one full copy — and still ends
+// bit-identical to the reference.
+TEST(AdvisorServiceRetrainTest, InlineRetrainDropsSpareAndNextCycleMatches) {
+  obs::Registry::Get().ZeroAllForTest();
+  AdvisorService advisor;
+  TenantConfig config;
+  config.service_owns_retrain = false;
+  config.personalizer.retrain_interval = 13;
+  auto session = advisor.OpenTenant("foreign", config);
+  ASSERT_TRUE(session.ok());
+  bandit::PersonalizerService reference(config.personalizer);
+  // Cycles at ops 4 and 9 of every 20 leave 13 rewards between ops 10 and
+  // 22, so each block retrains inline once, then cycles twice.
+  double inline_retrains = 0.0;
+  for (int op = 0; op < 200; ++op) {
+    inline_retrains += RankAndRewardBoth(*session, reference, op);
+    if (op % 20 == 4 || op % 20 == 9) {
+      ASSERT_TRUE(session->TrainAndPublish());
+      reference.Retrain();
+      ASSERT_EQ(ProbeScores(session->personalizer().model()),
+                ProbeScores(reference.model()))
+          << "op " << op;
+    }
+  }
+  ASSERT_TRUE(session->TrainAndPublish());
+  reference.Retrain();
+  EXPECT_TRUE(BitwiseEqual(session->personalizer().model(), reference.model()));
+  EXPECT_GT(inline_retrains, 0.0);
+  // The first cycle's copy, plus one after each inline retrain.
+  EXPECT_EQ(Series("bandit.model_copies"), 1.0 + inline_retrains);
 }
 
 // --- RCU linearizability ----------------------------------------------------
@@ -276,6 +428,55 @@ TEST(AdvisorServiceConcurrencyTest, SnapshotSwapLinearizability) {
   EXPECT_EQ(torn.load(), 0);
   EXPECT_EQ(non_monotone.load(), 0);
   EXPECT_GE(session->snapshot()->sequence, 40u);
+}
+
+// Two trainers (think: the background loop plus an explicit call) race on
+// one tenant while a writer ranks and rewards. Cycles are serialized per
+// tenant, so no batch's training is lost: after a final drain the model
+// has taken exactly epochs updates per trained example.
+TEST(AdvisorServiceConcurrencyTest, OverlappingTrainersLoseNoRetrain) {
+  obs::Registry::Get().ZeroAllForTest();
+  AdvisorService advisor;
+  auto session = advisor.OpenTenant("race");
+  ASSERT_TRUE(session.ok());
+  std::atomic<bool> stop{false};
+  std::atomic<int> published{0};
+  std::vector<std::thread> trainers;
+  for (int k = 0; k < 2; ++k) {
+    trainers.emplace_back([&session, &stop, &published] {
+      while (!stop.load(std::memory_order_acquire)) {
+        if (session->TrainAndPublish()) {
+          published.fetch_add(1, std::memory_order_relaxed);
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  const int kOps = 300;
+  for (int i = 0; i < kOps; ++i) {
+    auto ranked = session->Rank(VariedRank("race", i));
+    ASSERT_TRUE(ranked.ok());
+    ASSERT_TRUE(session->Reward(ranked->event, (i % 4) / 3.0).ok());
+    // Every 30 ops, wait for the trainers to drain what is pending, so
+    // cycles run while the writer is active however threads get scheduled.
+    if (i % 30 == 29) {
+      while (Series("bandit.examples_trained") < i + 1) {
+        std::this_thread::yield();
+      }
+    }
+  }
+  stop.store(true, std::memory_order_release);
+  for (std::thread& t : trainers) t.join();
+  session->TrainAndPublish();  // final drain
+
+  const double trained = Series("bandit.examples_trained");
+  EXPECT_EQ(trained, static_cast<double>(kOps));
+  const double epochs = session->personalizer().config().model.epochs;
+  std::shared_ptr<const ServiceSnapshot> snap = session->snapshot();
+  EXPECT_EQ(static_cast<double>(snap->model_updates), epochs * trained);
+  EXPECT_EQ(snap->model_updates, session->personalizer().model().updates());
+  EXPECT_EQ(snap->checksum, ServiceSnapshot::Fingerprint(*snap));
+  EXPECT_GE(published.load(), kOps / 30);
 }
 
 // 8 serving threads x 4 tenants, every API op in the mix, background
