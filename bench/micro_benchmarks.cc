@@ -157,13 +157,10 @@ void BM_StatsFingerprintInterned(benchmark::State& state) {
 BENCHMARK(BM_StatsFingerprintInterned);
 
 void BM_OptimizeCrossConfigMemoHit(benchmark::State& state) {
-  // A tiny L2 so rotating configs always miss the compilation cache and land
-  // on the front-end entry's cross-config memo instead: each flipped rule is
-  // an unwired placeholder the optimizer never consults, so the memo's full
-  // tier serves the stored output without an optimizer run.
-  cache::CompileCacheOptions cache_options;
-  cache_options.compilation_capacity = 16;
-  engine::ScopeEngine engine({}, {}, cache_options);
+  // Rotating configs land on the front-end entry's cross-config memo: each
+  // flipped rule is an unwired placeholder the optimizer never consults, so
+  // the memo's full tier serves the stored output without an optimizer run.
+  engine::ScopeEngine engine;
   std::vector<opt::RuleConfig> configs;
   for (int rule = 64; rule < 128; ++rule) {
     configs.push_back(opt::RuleConfig::DefaultWithFlip(rule));
@@ -203,7 +200,7 @@ void BM_SpanComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanComputation);
 
-// --- Two-level compilation cache (src/cache/). The cached variants measure
+// --- Compilation cache (src/cache/). The cached variants measure
 // the steady state of the daily pipeline, where every stage after the first
 // compiles each (job, config) from cache; the uncached front end is the
 // parser itself, which the cache runs once per (script, statistics).

@@ -117,8 +117,6 @@ def load_metrics(path):
 RATIOS = (
     ("cache.front_end hit ratio", ("cache.front_end.hits",),
      ("cache.front_end.hits", "cache.front_end.misses")),
-    ("cache.compilations hit ratio", ("cache.compilations.hits",),
-     ("cache.compilations.hits", "cache.compilations.misses")),
     ("optimizer.memo hit ratio",
      ("optimizer.memo.full_hits", "optimizer.memo.norm_hits"),
      ("optimizer.memo.full_hits", "optimizer.memo.norm_hits",

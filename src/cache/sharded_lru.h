@@ -1,4 +1,4 @@
-// A sharded, thread-safe, LRU-bounded map used by the compilation caches.
+// A sharded, thread-safe, LRU-bounded map used by the compilation cache.
 //
 // Sharding follows the ShardedWorkQueue convention (src/runtime/): an entry
 // lives in shard `hash(key) % num_shards`, each shard owns an independent
@@ -90,14 +90,6 @@ class ShardedLruCache {
     return Insert(key, compute());
   }
 
-  void Clear() {
-    for (Shard& shard : shards_) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      shard.lru.clear();
-      shard.index.clear();
-    }
-  }
-
   size_t size() const {
     size_t n = 0;
     for (const Shard& shard : shards_) {
@@ -107,7 +99,6 @@ class ShardedLruCache {
     return n;
   }
 
-  size_t capacity() const { return capacity_; }
   size_t num_shards() const { return shards_.size(); }
 
   /// The per-shard counts, each read under its shard lock, summed.
@@ -125,7 +116,9 @@ class ShardedLruCache {
   }
 
  private:
-  struct Shard {
+  /// Cache-line aligned: every compile locks one shard and bumps its
+  /// counters, so neighbouring shards must not share a line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::list<std::pair<Key, Value>> lru;  ///< front = most recent
     std::unordered_map<Key, typename std::list<std::pair<Key, Value>>::iterator,

@@ -27,15 +27,6 @@ obs::Histogram& ExecuteSpanHist() {
   return *h;
 }
 
-void AddCacheLevel(const std::string& prefix, const cache::Stats& s,
-                   obs::SeriesSink& sink) {
-  sink.Add(prefix + ".hits", static_cast<double>(s.hits));
-  sink.Add(prefix + ".misses", static_cast<double>(s.misses));
-  sink.Add(prefix + ".evictions", static_cast<double>(s.evictions));
-  sink.Add(prefix + ".entries", static_cast<double>(s.entries));
-  sink.Add(prefix + ".capacity", static_cast<double>(s.capacity));
-}
-
 }  // namespace
 
 ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
@@ -45,7 +36,7 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
       simulator_(cluster_config),
       options_fingerprint_(
           cache::OptimizerOptionsFingerprint(optimizer_options)),
-      cache_(cache_options) {
+      front_end_(cache_options.capacity, cache_options.num_shards) {
   // The symbol table is process-wide, so its size is one series however
   // many engines are alive: registered by the first engine, never removed.
   static const int symbols_collector [[maybe_unused]] =
@@ -57,8 +48,13 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
   // never calls back into the registry (whose lock is held in Snapshot()).
   collector_id_ =
       obs::Registry::Get().AddCollector([this](obs::SeriesSink& sink) {
-        AddCacheLevel("cache.front_end", cache_.front_end_stats(), sink);
-        AddCacheLevel("cache.compilations", cache_.compilation_stats(), sink);
+        const cache::Stats s = front_end_.stats();
+        sink.Add("cache.front_end.hits", static_cast<double>(s.hits));
+        sink.Add("cache.front_end.misses", static_cast<double>(s.misses));
+        sink.Add("cache.front_end.evictions",
+                 static_cast<double>(s.evictions));
+        sink.Add("cache.front_end.entries", static_cast<double>(s.entries));
+        sink.Add("cache.front_end.capacity", static_cast<double>(s.capacity));
       });
 }
 
@@ -66,24 +62,35 @@ ScopeEngine::~ScopeEngine() {
   obs::Registry::Get().RemoveCollector(collector_id_);
 }
 
-cache::FrontEndKey ScopeEngine::FrontEndKeyOf(
+cache::FrontEndPtr ScopeEngine::FrontEnd(
     const workload::JobInstance& job) const {
   cache::FrontEndKey key;
-  key.script_hash = HashString(job.script);
+  key.script_hash = HashBytesWide(job.script.data(), job.script.size());
   key.catalog_fingerprint =
       job.catalog.StatsFingerprint() ^ options_fingerprint_;
-  return key;
+  return front_end_.GetOrCompute(key, [&] {
+    auto entry = std::make_shared<cache::CachedFrontEnd>();
+    QO_OBS_SPAN("parse");
+    Result<scope::LogicalPlan> result =
+        scope::CompileSource(job.script, job.catalog);
+    if (result.ok()) {
+      entry->plan = std::move(result).value();
+    } else {
+      entry->status = result.status();
+    }
+    return cache::FrontEndPtr(std::move(entry));
+  });
 }
 
 Result<std::shared_ptr<const opt::CompilationOutput>>
 ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
                               const workload::JobInstance& job,
                               const opt::RuleConfig& config) const {
-  QO_OBS_SPAN("optimize");
   opt::CrossConfigMemo& memo = fe.cross_config_memo;
 
   // Full-tier probe: some earlier compile consulted only bits this config
-  // agrees on, so its output (or deterministic error) is this config's too.
+  // agrees on (an exact repeat always does), so its output (or
+  // deterministic error) is this config's too.
   Status stored_status = Status::OK();
   std::shared_ptr<const opt::CompilationOutput> stored_output;
   if (memo.FindFull(config.bits(), &stored_status, &stored_output)) {
@@ -92,18 +99,14 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
     return stored_output;
   }
 
+  // Opened past the full-tier probe: "span.optimize" times optimizer runs
+  // only, and the probe stays in the caller's cache time.
+  QO_OBS_SPAN("optimize");
   opt::Optimizer optimizer(job.catalog, optimizer_options_);
-
-  // Normalized-tier probe: reuse the validated + normalized plan and rerun
-  // only the cost-based search under this config.
-  BitVector256 norm_consulted;
-  if (std::shared_ptr<const opt::NormalizedPlan> normalized =
-          memo.FindNorm(config.bits(), &norm_consulted)) {
-    QO_OBS_COUNT("optimizer.memo.norm_hits", 1);
-    BitVector256 post_consulted;
-    Result<opt::CompilationOutput> result =
-        optimizer.OptimizeFromNormalized(*normalized, config, &post_consulted);
-    BitVector256 footprint = norm_consulted | post_consulted;
+  // Records a finished compile under its whole footprint and shares it.
+  auto publish = [&](Result<opt::CompilationOutput> result,
+                     const BitVector256& footprint)
+      -> Result<std::shared_ptr<const opt::CompilationOutput>> {
     if (!result.ok()) {
       memo.InsertFull(footprint, config.bits(), result.status(), nullptr);
       return result.status();
@@ -112,34 +115,34 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
         std::move(result).value());
     memo.InsertFull(footprint, config.bits(), Status::OK(), shared);
     return std::shared_ptr<const opt::CompilationOutput>(std::move(shared));
+  };
+
+  // Normalized-tier probe: reuse the validated + normalized plan and rerun
+  // only the cost-based search under this config.
+  BitVector256 norm_consulted;
+  BitVector256 post_consulted;
+  if (std::shared_ptr<const opt::NormalizedPlan> normalized =
+          memo.FindNorm(config.bits(), &norm_consulted)) {
+    QO_OBS_COUNT("optimizer.memo.norm_hits", 1);
+    Result<opt::CompilationOutput> result =
+        optimizer.OptimizeFromNormalized(*normalized, config, &post_consulted);
+    return publish(std::move(result), norm_consulted | post_consulted);
   }
 
   // Miss: full pipeline, recording both footprints for future configs.
   QO_OBS_COUNT("optimizer.memo.misses", 1);
-  BitVector256 post_consulted;
   std::shared_ptr<const opt::NormalizedPlan> normalized;
   Result<opt::CompilationOutput> result = optimizer.OptimizeTracked(
       fe.plan, config, &norm_consulted, &post_consulted, &normalized);
   if (normalized != nullptr) {
     memo.InsertNorm(norm_consulted, config.bits(), normalized);
   }
-  BitVector256 footprint = norm_consulted | post_consulted;
-  if (!result.ok()) {
-    memo.InsertFull(footprint, config.bits(), result.status(), nullptr);
-    return result.status();
-  }
-  auto shared = std::make_shared<const opt::CompilationOutput>(
-      std::move(result).value());
-  memo.InsertFull(footprint, config.bits(), Status::OK(), shared);
-  return std::shared_ptr<const opt::CompilationOutput>(std::move(shared));
+  return publish(std::move(result), norm_consulted | post_consulted);
 }
 
 Result<std::shared_ptr<const scope::LogicalPlan>> ScopeEngine::CompileFrontEnd(
     const workload::JobInstance& job) const {
-  cache::FrontEndPtr entry = cache_.GetOrParse(FrontEndKeyOf(job), [&] {
-    QO_OBS_SPAN("parse");
-    return scope::CompileSource(job.script, job.catalog);
-  });
+  cache::FrontEndPtr entry = FrontEnd(job);
   if (!entry->status.ok()) return entry->status;
   // Alias the plan to the cache entry: one refcount, zero copies.
   return std::shared_ptr<const scope::LogicalPlan>(entry, &entry->plan);
@@ -166,24 +169,9 @@ ScopeEngine::CompileShared(const workload::JobInstance& job,
 Result<std::shared_ptr<const opt::CompilationOutput>>
 ScopeEngine::CompileSharedImpl(const workload::JobInstance& job,
                                const opt::RuleConfig& config) const {
-  cache::CompilationKey key;
-  key.front_end = FrontEndKeyOf(job);
-  key.config = config.bits();
-  cache::CompilationPtr entry = cache_.GetOrCompile(
-      key, [&]() -> Result<std::shared_ptr<const opt::CompilationOutput>> {
-        // Miss handler: level 1 still memoizes the front end, so the other
-        // configs of this job skip straight to the optimizer — and the
-        // front-end entry's cross-config memo lets configs that only differ
-        // in unconsulted rule bits skip the optimizer too.
-        cache::FrontEndPtr fe = cache_.GetOrParse(key.front_end, [&] {
-          QO_OBS_SPAN("parse");
-          return scope::CompileSource(job.script, job.catalog);
-        });
-        if (!fe->status.ok()) return fe->status;
-        return OptimizeWithMemo(*fe, job, config);
-      });
-  if (!entry->status.ok()) return entry->status;
-  return entry->output;
+  cache::FrontEndPtr fe = FrontEnd(job);
+  if (!fe->status.ok()) return fe->status;
+  return OptimizeWithMemo(*fe, job, config);
 }
 
 Result<JobRunResult> ScopeEngine::Run(const workload::JobInstance& job,

@@ -5,10 +5,10 @@
 // recompilation, and the flighting service uses it for pre-production runs.
 //
 // There is one compile path and one execute path. Compilation is served
-// through a two-level cache (src/cache/): a config-independent front-end
-// memo (script -> LogicalPlan) plus a full (job, config) compilation cache,
-// both sharded/LRU-bounded and keyed by content fingerprints; an L2 miss
-// consults the job's cross-config memo before running the optimizer.
+// through the front-end cache (src/cache/): a config-independent, sharded,
+// LRU-bounded map from content fingerprint to LogicalPlan, whose entries
+// each carry the job's cross-config memo — the only store of compile
+// results, consulted before (and fed after) every optimizer run.
 // Execution runs every compilation through its prepared ExecutionProfile.
 // Both are transparent — results are byte-identical to a direct
 // CompileSource + Optimizer::Optimize + Prepare/Execute at any thread count
@@ -43,13 +43,14 @@ struct JobRunResult {
 /// Facade bundling the compiler, optimizer and cluster simulator.
 ///
 /// Telemetry: cross-config memo outcomes ("optimizer.memo.{full_hits,
-/// norm_hits,misses}") and profile-slot lookups ("exec.profile_{hits,
-/// misses}") are registry counters. The engine's collector exports its
-/// cache levels ("cache.{front_end,compilations}.{hits,misses,evictions,
-/// entries,capacity}"); "optimizer.symbols" is exported once per process.
+/// norm_hits,misses,full_dropped}") and profile-slot lookups
+/// ("exec.profile_{hits,misses}") are registry counters. The engine's
+/// collector exports its front-end cache ("cache.front_end.{hits,misses,
+/// evictions,entries,capacity}"); "optimizer.symbols" is exported once per
+/// process.
 ///
 /// Audited for the parallel runtime: compilation results are immutable and
-/// the compilation cache is internally synchronized (sharded mutexes); the
+/// the front-end cache is internally synchronized (sharded mutexes); the
 /// cluster simulator seeds a local RNG per Execute call; the only
 /// process-wide state touched (RuleRegistry, lexer keyword table) is
 /// immutable after its thread-safe first-use initialization.
@@ -149,25 +150,26 @@ class ScopeEngine {
     obs::Histogram* exec_ns = nullptr;
   };
   TemplateHists TemplateHistsFor(const workload::JobInstance& job) const;
-  /// L2-miss handler: probes the front-end entry's footprint memo before
-  /// (and feeds it after) a real optimizer run. Returns a shared output — a
-  /// full-tier hit and the memo insert are both refcount bumps on the one
-  /// immutable CompilationOutput.
+  /// The job's front-end cache entry, parsing on miss.
+  cache::FrontEndPtr FrontEnd(const workload::JobInstance& job) const;
+  /// Probes the front-end entry's footprint memo before (and feeds it
+  /// after) a real optimizer run. Returns a shared output — a full-tier hit
+  /// and the memo insert are both refcount bumps on the one immutable
+  /// CompilationOutput.
   Result<std::shared_ptr<const opt::CompilationOutput>> OptimizeWithMemo(
       const cache::CachedFrontEnd& fe, const workload::JobInstance& job,
       const opt::RuleConfig& config) const;
-  cache::FrontEndKey FrontEndKeyOf(const workload::JobInstance& job) const;
 
   opt::OptimizerOptions optimizer_options_;
   exec::ClusterSimulator simulator_;
   /// Folded into every cache key so options changes can never alias.
   uint64_t options_fingerprint_ = 0;
   /// Mutable state behind const CompileShared; internally synchronized.
-  mutable cache::CompilationCache cache_;
+  mutable cache::FrontEndCache front_end_;
   /// template_id -> latency histograms (read-mostly: shared lock on hit).
   mutable std::shared_mutex tpl_mu_;
   mutable std::unordered_map<int, TemplateHists> tpl_hists_;
-  /// Registry collector exporting the cache levels (removed in the
+  /// Registry collector exporting the front-end cache (removed in the
   /// destructor).
   int collector_id_ = -1;
 };

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace qo::opt {
 
 bool CrossConfigMemo::FindFull(
@@ -35,11 +37,14 @@ void CrossConfigMemo::InsertFull(
     const Status& status, std::shared_ptr<const CompilationOutput> output) {
   BitVector256 values = config & consulted;
   std::lock_guard<std::mutex> lock(mu_);
-  if (full_.size() >= kMaxFullEntries) return;
   for (const FullEntry& e : full_) {
     // An existing entry already covering this config makes the new one
     // redundant (both replay to the same output).
     if ((config & e.consulted) == e.values) return;
+  }
+  if (full_.size() >= kMaxFullEntries) {
+    QO_OBS_COUNT("optimizer.memo.full_dropped", 1);
+    return;
   }
   FullEntry e;
   e.consulted = consulted;

@@ -7,15 +7,17 @@
 // more. Most of those configs differ only in rule bits the optimizer never
 // reads for this particular job — a join-rule flip on a join-free job, or a
 // flip of one of the ~220 placeholder rule ids that are not wired to any
-// behavior. The L2 compilation cache keys on the *full* 256-bit config, so
-// each such flip is a miss and a full recompile.
+// behavior. A cache keyed on the *full* 256-bit config would miss on each
+// such flip and recompile.
 //
 // This memo keys on the compile's *footprint* instead: the exact set of rule
 // bits the optimizer consulted (RuleConfig::TrackConsulted) and their values.
 // A compilation is a pure function of (front-end plan, catalog, optimizer
 // options, values of consulted bits) — the first three are fixed by the
 // front-end cache entry this memo hangs off — so any config that agrees on
-// every consulted bit provably produces byte-identical output.
+// every consulted bit provably produces byte-identical output. A config
+// always agrees with its own footprint, so this memo is also the engine's
+// only (job, config) result cache: an exact repeat is a full-tier hit.
 //
 // Two tiers:
 //  - Full tier: footprint of the whole compile -> CompilationOutput (or the
@@ -31,8 +33,10 @@
 // exercised), and a scan over <= ~100 32-byte masks is cheaper than
 // maintaining an index. Capacity is bounded by dropping new inserts when
 // full; since every entry is provably equal to a fresh compile, eviction
-// policy can change hit *counts* but never output bytes. Tests check every
-// memoized compile against a direct optimizer run.
+// policy can change hit *counts* but never output bytes. A dropped full
+// entry means its configs re-run the optimizer on every compile, so drops
+// are counted ("optimizer.memo.full_dropped"). Tests check every memoized
+// compile against a direct optimizer run.
 #ifndef QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 #define QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 
@@ -53,7 +57,7 @@ class CrossConfigMemo {
   /// Full-tier probe: if some stored compile's footprint agrees with
   /// `config`, stores its result into `status` / `output` and returns true.
   /// The output is shared, not copied — entries hold the same immutable
-  /// CompilationOutput the compilation cache serves.
+  /// CompilationOutput every CompileShared caller receives.
   bool FindFull(const BitVector256& config, Status* status,
                 std::shared_ptr<const CompilationOutput>* output) const;
 
@@ -68,7 +72,8 @@ class CrossConfigMemo {
   /// Records a full compile: `consulted` is every bit the compile read,
   /// `config` the configuration it ran under, `output` the shared immutable
   /// result (null for a failed compile — the error replays from `status`).
-  /// No-op when at capacity or a matching footprint is already stored.
+  /// No-op when a matching footprint is already stored or when at capacity
+  /// (counted as "optimizer.memo.full_dropped").
   /// Refcount-only: inserting never deep-copies the output.
   void InsertFull(const BitVector256& consulted, const BitVector256& config,
                   const Status& status,
@@ -83,7 +88,8 @@ class CrossConfigMemo {
     BitVector256 consulted;
     BitVector256 values;  ///< config bits at the consulted positions
     Status status;
-    /// Shared with the compilation cache; null when !status.ok().
+    /// Shared with every caller served from this entry; null when
+    /// !status.ok().
     std::shared_ptr<const CompilationOutput> output;
   };
   struct NormEntry {

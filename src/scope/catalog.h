@@ -77,7 +77,7 @@ class Catalog {
   /// Deterministic content hash over every registered table and column
   /// statistic (true + optimizer-visible). Two catalogs with identical
   /// statistics produce identical fingerprints regardless of registration
-  /// order — this keys the compilation caches (src/cache/), where any stats
+  /// order — this keys the compilation cache (src/cache/), where any stats
   /// drift must invalidate by missing. O(1): maintained incrementally by
   /// RegisterTable, so the compile hot path pays nothing per lookup.
   /// Hashes interned ids, not strings: valid within one process only.

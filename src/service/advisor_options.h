@@ -12,7 +12,7 @@
 //
 // Knob map (reader -> field):
 //   QO_THREADS                 -> runtime.num_threads
-//   QO_COMPILE_CACHE_CAPACITY / _SHARDS -> compile_cache.{capacities,shards}
+//   QO_COMPILE_CACHE_CAPACITY / _SHARDS -> compile_cache.{capacity,num_shards}
 //   QO_GUARD + QO_FAULT_*      -> guard.{enabled,faults}
 //   QO_SERVICE_RETRAIN_MS      -> retrain_period_ms
 // The observability knobs (QO_METRICS, QO_OBS_*, QO_TRACE, QO_SIMD) are

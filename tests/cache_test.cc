@@ -1,8 +1,8 @@
-// Tests for the two-level compilation cache (src/cache/): sharded-LRU
-// semantics, fingerprint keys, failure caching, concurrency, byte-identity
-// with the reference oracle (a direct front end + optimizer run), and the
-// end-to-end guarantee that pipeline outputs are byte-identical at any
-// thread count.
+// Tests for the compilation cache (src/cache/: the front-end LRU whose
+// entries carry the cross-config memo): sharded-LRU semantics, fingerprint
+// keys, failure caching, concurrency, byte-identity with the reference
+// oracle (a direct front end + optimizer run), and the end-to-end guarantee
+// that pipeline outputs are byte-identical at any thread count.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,6 +15,7 @@
 #include "cache/compilation_cache.h"
 #include "cache/fingerprint.h"
 #include "cache/sharded_lru.h"
+#include "common/hash.h"
 #include "core/span.h"
 #include "engine/engine.h"
 #include "bandit/personalizer.h"
@@ -44,6 +45,22 @@ using IntCache = cache::ShardedLruCache<int, int, IntHasher>;
 double Series(const char* name) {
   return obs::Registry::Get().Snapshot().SeriesValue(name);
 }
+
+/// Cross-config memo outcome counts. They are process-wide, so tests read
+/// them as deltas.
+struct MemoCounts {
+  double full_hits = Series("optimizer.memo.full_hits");
+  double norm_hits = Series("optimizer.memo.norm_hits");
+  double misses = Series("optimizer.memo.misses");
+
+  MemoCounts Since(const MemoCounts& before) const {
+    MemoCounts d = *this;
+    d.full_hits -= before.full_hits;
+    d.norm_hits -= before.norm_hits;
+    d.misses -= before.misses;
+    return d;
+  }
+};
 
 TEST(ShardedLruTest, HitMissCounters) {
   IntCache c(/*capacity=*/8, /*num_shards=*/1);
@@ -209,25 +226,49 @@ TEST(FingerprintTest, EnvKnobsParseAndDegrade) {
   setenv("QO_COMPILE_CACHE_CAPACITY", "128", 1);
   setenv("QO_COMPILE_CACHE_SHARDS", "4", 1);
   cache::CompileCacheOptions sized = cache::CompileCacheOptions::FromEnv();
-  EXPECT_EQ(sized.compilation_capacity, 128u);
-  EXPECT_EQ(sized.front_end_capacity, 32u);
+  EXPECT_EQ(sized.capacity, 128u);
   EXPECT_EQ(sized.num_shards, 4);
+  engine::ScopeEngine engine({}, {}, sized);
+  EXPECT_EQ(Series("cache.front_end.capacity"), 128.0);
 
   setenv("QO_COMPILE_CACHE_CAPACITY", "not-a-number", 1);
   cache::CompileCacheOptions fallback = cache::CompileCacheOptions::FromEnv();
-  EXPECT_EQ(fallback.compilation_capacity,
-            cache::CompileCacheOptions{}.compilation_capacity);
+  EXPECT_EQ(fallback.capacity, cache::CompileCacheOptions{}.capacity);
+  EXPECT_EQ(fallback.capacity, 4096u);
 }
-
-// ---------------------------------------------------------------------------
-// Engine-level semantics.
-// ---------------------------------------------------------------------------
 
 std::vector<workload::JobInstance> Jobs(int templates = 12, int jobs = 24) {
   workload::WorkloadDriver driver(
       {.num_templates = templates, .jobs_per_day = jobs, .seed = 404});
   return driver.DayJobs(0);
 }
+
+// The front-end key's script hash: any one-byte edit of a real script, at
+// every tail length (so each of the last 7 bytes lands in the zero-padded
+// tail word once), and an appended '\0' must all change it.
+TEST(FingerprintTest, WideScriptHashSeesEveryByte) {
+  const std::string script = Jobs(4, 4)[0].script;
+  ASSERT_GT(script.size(), 16u);
+  auto hash = [](const std::string& s) {
+    return HashBytesWide(s.data(), s.size());
+  };
+  for (size_t trim = 0; trim < 8; ++trim) {
+    const std::string base = script.substr(0, script.size() - trim);
+    const uint64_t h = hash(base);
+    for (size_t i = 0; i < base.size(); ++i) {
+      for (int mask : {0x01, 0x80}) {
+        std::string edited = base;
+        edited[i] = static_cast<char>(edited[i] ^ mask);
+        EXPECT_NE(hash(edited), h) << "trim " << trim << " byte " << i;
+      }
+    }
+    EXPECT_NE(hash(base + '\0'), h) << "trim " << trim;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Engine-level semantics.
+// ---------------------------------------------------------------------------
 
 /// An engine with the default cache sizes, whatever the environment says.
 engine::ScopeEngine CachedEngine() {
@@ -243,6 +284,7 @@ std::string Serialize(const opt::CompilationOutput& out) {
 
 TEST(CompilationCacheTest, CachedEqualsReferenceAcrossConfigs) {
   engine::ScopeEngine cached = CachedEngine();
+  const MemoCounts before;
   std::vector<opt::RuleConfig> configs = {
       opt::RuleConfig::Default(),
       opt::RuleConfig::DefaultWithFlip(opt::rules::kEagerAggregationLeft),
@@ -267,26 +309,82 @@ TEST(CompilationCacheTest, CachedEqualsReferenceAcrossConfigs) {
       EXPECT_EQ(Serialize(**a), Serialize(**again)) << job.job_id;
     }
   }
-  EXPECT_GT(Series("cache.compilations.hits"), 0.0);
-  EXPECT_GT(Series("cache.compilations.misses"), 0.0);
+  // Each repeat is served by the memo's full tier; the first compiles
+  // include real optimizer runs.
+  const MemoCounts delta = MemoCounts().Since(before);
+  EXPECT_GT(delta.full_hits, 0.0);
+  EXPECT_GT(delta.misses, 0.0);
+  EXPECT_GT(Series("cache.front_end.hits"), 0.0);
+  EXPECT_GT(Series("cache.front_end.misses"), 0.0);
 }
 
 TEST(CompilationCacheTest, RepeatedCompileSharesOneEntry) {
   engine::ScopeEngine engine = CachedEngine();
   workload::JobInstance job = Jobs(4, 4)[0];
+  const MemoCounts before;
   auto first = engine.CompileShared(job, opt::RuleConfig::Default());
   auto second = engine.CompileShared(job, opt::RuleConfig::Default());
   ASSERT_TRUE(first.ok() && second.ok());
   // Same immutable entry, not a copy.
   EXPECT_EQ(first->get(), second->get());
-  EXPECT_EQ(Series("cache.compilations.misses"), 1.0);
-  EXPECT_EQ(Series("cache.compilations.hits"), 1.0);
-  EXPECT_EQ(Series("cache.compilations.entries"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.hits"), 1.0);
+  EXPECT_EQ(Series("cache.front_end.entries"), 1.0);
+  // One optimizer run; the exact repeat is a full-tier memo hit.
+  const MemoCounts delta = MemoCounts().Since(before);
+  EXPECT_EQ(delta.misses, 1.0);
+  EXPECT_EQ(delta.norm_hits, 0.0);
+  EXPECT_EQ(delta.full_hits, 1.0);
+}
+
+TEST(CompilationCacheTest, RepeatCompileIsAMemoHitNotAnOptimizerRun) {
+  struct MetricsOn {
+    MetricsOn() { obs::SetMetricsEnabledForTest(1); }
+    ~MetricsOn() { obs::SetMetricsEnabledForTest(-1); }
+  } metrics_on;
+  engine::ScopeEngine engine = CachedEngine();
+  workload::JobInstance job = Jobs(4, 4)[0];
+  const opt::RuleConfig config =
+      opt::RuleConfig::DefaultWithFlip(opt::rules::kEagerAggregationLeft);
+  ASSERT_TRUE(engine.CompileShared(job, config).ok());
+  auto optimize_samples = [] {
+    const obs::MetricsSnapshot snap = obs::Registry::Get().Snapshot();
+    const obs::HistogramSnapshot* h = snap.FindHistogram("span.optimize");
+    return h == nullptr ? uint64_t{0} : h->total;
+  };
+  const uint64_t samples_before = optimize_samples();
+  const MemoCounts before;
+  ASSERT_TRUE(engine.CompileShared(job, config).ok());
+  // "span.optimize" times optimizer runs only; a full-tier hit is not one.
+  EXPECT_EQ(MemoCounts().Since(before).full_hits, 1.0);
+  EXPECT_EQ(optimize_samples(), samples_before);
+}
+
+TEST(CompilationCacheTest, EditedLastByteMissesTheFrontEnd) {
+  engine::ScopeEngine engine = CachedEngine();
+  workload::JobInstance job = Jobs(4, 4)[0];
+  ASSERT_TRUE(engine.CompileShared(job, opt::RuleConfig::Default()).ok());
+  ASSERT_FALSE(job.script.empty());
+  // The last byte is the one a word-at-a-time key hashes in the padded
+  // tail word; swapping trailing whitespace keeps the job compilable.
+  workload::JobInstance edited = job;
+  char& last = edited.script.back();
+  last = last == '\n' ? ' ' : '\n';
+  auto out = engine.CompileShared(edited, opt::RuleConfig::Default());
+  auto ref = ReferenceCompile(edited, opt::RuleConfig::Default());
+  EXPECT_EQ(Series("cache.front_end.misses"), 2.0);
+  ASSERT_EQ(out.ok(), ref.ok());
+  if (out.ok()) {
+    EXPECT_EQ(Serialize(**out), Serialize(*ref));
+  } else {
+    EXPECT_EQ(out.status(), ref.status());
+  }
 }
 
 TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
   engine::ScopeEngine engine = CachedEngine();
   workload::JobInstance job = Jobs(4, 8)[0];
+  const MemoCounts before;
   auto span = advisor::ComputeJobSpan(engine, job);
   ASSERT_TRUE(span.ok());
   // The fix-point compiled `iterations` distinct configs but parsed once.
@@ -294,7 +392,10 @@ TEST(CompilationCacheTest, FrontEndMemoParsesEachJobOnce) {
   EXPECT_EQ(Series("cache.front_end.misses"), 1.0);
   EXPECT_EQ(Series("cache.front_end.hits") + Series("cache.front_end.misses"),
             span->iterations);
-  EXPECT_EQ(Series("cache.compilations.misses"), span->iterations);
+  // Every compile probed the job's memo exactly once.
+  const MemoCounts delta = MemoCounts().Since(before);
+  EXPECT_EQ(delta.full_hits + delta.norm_hits + delta.misses,
+            span->iterations);
 
   // The front-end plan is shared by every consumer of this job.
   auto fe1 = engine.CompileFrontEnd(job);
@@ -317,8 +418,7 @@ TEST(CompilationCacheTest, ParseErrorsAreCachedAndIdentical) {
 
 TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
   cache::CompileCacheOptions options;
-  options.compilation_capacity = 16;
-  options.front_end_capacity = 8;
+  options.capacity = 8;
   options.num_shards = 2;
   engine::ScopeEngine engine({}, {}, options);
   for (const auto& job : Jobs(16, 64)) {
@@ -326,30 +426,47 @@ TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
     (void)out;
   }
   // Rounded-up per-shard slices: at most one extra entry per shard.
-  EXPECT_LE(Series("cache.compilations.entries"), 16.0 + 2.0);
   EXPECT_LE(Series("cache.front_end.entries"), 8.0 + 2.0);
-  EXPECT_GT(Series("cache.compilations.evictions"), 0.0);
+  EXPECT_GT(Series("cache.front_end.evictions"), 0.0);
 }
 
 TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
   engine::ScopeEngine cached = CachedEngine();
   std::vector<workload::JobInstance> jobs = Jobs(8, 32);
-  std::vector<std::string> serial(jobs.size());
+  // The default, two consulted rules (one read during normalization, one
+  // after it) and two unwired placeholders: concurrent compiles of one job
+  // then race FindFull, FindNorm and InsertFull on the same memo.
+  const std::vector<opt::RuleConfig> configs = {
+      opt::RuleConfig::Default(),
+      opt::RuleConfig::DefaultWithFlip(opt::rules::kFilterIntoScan),
+      opt::RuleConfig::DefaultWithFlip(opt::rules::kEagerAggregationLeft),
+      opt::RuleConfig::DefaultWithFlip(100),
+      opt::RuleConfig::DefaultWithFlip(120),
+  };
+  // serial[i][c]: the reference result of jobs[i] under configs[c].
+  auto key = [](const Result<opt::CompilationOutput>& out) {
+    return out.ok() ? Serialize(*out) : out.status().ToString();
+  };
+  std::vector<std::vector<std::string>> serial(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
-    auto out = ReferenceCompile(jobs[i], opt::RuleConfig::Default());
-    ASSERT_TRUE(out.ok());
-    serial[i] = Serialize(*out);
+    for (const opt::RuleConfig& config : configs) {
+      serial[i].push_back(key(ReferenceCompile(jobs[i], config)));
+    }
   }
   // 8 threads hammer the shared cache, repeating each job 4 times so the
-  // same keys are hit while still warm and while being inserted.
+  // same keys are hit while still warm and while being inserted; each
+  // thread starts its config rotation at a different offset.
   std::atomic<bool> mismatch{false};
   std::vector<std::thread> threads;
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
       for (size_t r = 0; r < 4; ++r) {
         for (size_t i = t % 2; i < jobs.size(); i += 2) {
-          auto out = cached.CompileShared(jobs[i], opt::RuleConfig::Default());
-          if (!out.ok() || Serialize(**out) != serial[i]) mismatch = true;
+          const size_t c = (i + r + static_cast<size_t>(t)) % configs.size();
+          auto out = cached.CompileShared(jobs[i], configs[c]);
+          const std::string got =
+              out.ok() ? Serialize(**out) : out.status().ToString();
+          if (got != serial[i][c]) mismatch = true;
         }
       }
     });
@@ -401,6 +518,8 @@ struct MiniFig10Output {
   std::vector<std::string> sis_files;
   size_t active_hints = 0;
   std::string eval_view;
+  /// Parses the run's engine made ("cache.front_end.misses").
+  double front_end_misses = 0;
 };
 
 MiniFig10Output RunMiniFig10(int threads) {
@@ -445,7 +564,22 @@ MiniFig10Output RunMiniFig10(int threads) {
                   row.pn_hours, row.total_vertices);
     out.eval_view += row.rule_signature.ToString(64) + buf;
   }
+  out.front_end_misses = Series("cache.front_end.misses");
   return out;
+}
+
+// The compile work a mini fig10 run does, pinned to the counts of the build
+// that still had a (job, full config) result cache in front of the memo:
+// deleting it must not add a parse or an optimizer run. A full-tier insert
+// dropped at the memo's cap would make every later compile of that config
+// re-run the optimizer, so none may be dropped.
+TEST(CompilationCacheTest, MiniFig10CompileWorkIsPinned) {
+  obs::Registry::Get().ZeroAllForTest();
+  const MiniFig10Output out = RunMiniFig10(/*threads=*/1);
+  EXPECT_EQ(Series("optimizer.memo.misses"), 583.0);
+  EXPECT_EQ(Series("optimizer.memo.norm_hits"), 475.0);
+  EXPECT_EQ(out.front_end_misses, 336.0);
+  EXPECT_EQ(Series("optimizer.memo.full_dropped"), 0.0);
 }
 
 TEST(CompilationCacheTest, PipelineOutputIdenticalAcrossThreads) {

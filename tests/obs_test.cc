@@ -411,7 +411,7 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   }
   MetricsSnapshot snap = Registry::Get().Snapshot();
   // One representative series per subsystem.
-  EXPECT_TRUE(snap.HasSeries("cache.compilations.hits"));
+  EXPECT_TRUE(snap.HasSeries("cache.front_end.hits"));
   EXPECT_GT(snap.SeriesValue("optimizer.memo.full_hits") +
                 snap.SeriesValue("optimizer.memo.norm_hits"),
             0.0);
@@ -432,9 +432,9 @@ TEST(MetricsIdentityTest, PipelineRunExportsAllTelemetrySurfaces) {
   EXPECT_EQ(run_day->total, 2u);
 }
 
-// Two live engines, each compiling one job twice (a 50% L2 hit rate each):
-// counts sum across engines, the process-wide symbol count is exported
-// once, and no ratio series exists for a sum to corrupt.
+// Two live engines, each compiling one job twice (one parse and one memo
+// hit each): counts sum across engines, the process-wide symbol count is
+// exported once, and no ratio series exists for a sum to corrupt.
 TEST(MetricsIdentityTest, TwoEnginesSumCountsAndExportSymbolsOnce) {
   Registry::Get().ZeroAllForTest();
   workload::WorkloadDriver driver(
@@ -448,8 +448,10 @@ TEST(MetricsIdentityTest, TwoEnginesSumCountsAndExportSymbolsOnce) {
     }
   }
   const MetricsSnapshot snap = Registry::Get().Snapshot();
-  EXPECT_EQ(snap.SeriesValue("cache.compilations.hits"), 2.0);
-  EXPECT_EQ(snap.SeriesValue("cache.compilations.misses"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("cache.front_end.hits"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("cache.front_end.misses"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("optimizer.memo.full_hits"), 2.0);
+  EXPECT_EQ(snap.SeriesValue("optimizer.memo.misses"), 2.0);
   EXPECT_EQ(snap.SeriesValue("optimizer.symbols"),
             static_cast<double>(SymbolTable::Global().size()));
   for (const auto& [name, value] : snap.series) {
