@@ -116,8 +116,11 @@ class ShardedLruCache {
   }
 
  private:
-  /// Cache-line aligned: every compile locks one shard and bumps its
-  /// counters, so neighbouring shards must not share a line.
+  /// Cache-line aligned for the heap layout it gives, not for false
+  /// sharing (a Shard spans several lines either way). Measured on x86-64
+  /// with glibc 2.36: unpadded, the set-up of qobench `offline` (five
+  /// engines built ~100 times per process) takes 15% more minor page
+  /// faults, and its median setup_s was 11-24% higher in three A/B runs.
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::list<std::pair<Key, Value>> lru;  ///< front = most recent

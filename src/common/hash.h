@@ -61,11 +61,10 @@ inline uint64_t MixHash(uint64_t h) {
 /// the word for a fixed state, so two inputs of one length that differ in a
 /// single word never collide. Endian-dependent, so never a stable digest:
 /// persisted and reported hashes stay on HashString.
-inline uint64_t HashBytesWide(const void* data, size_t n,
-                              uint64_t seed = kFnvOffsetBasis) {
+inline uint64_t HashBytesWide(const void* data, size_t n) {
   constexpr uint64_t kMul = 0x9e3779b97f4a7c15ULL;
   const unsigned char* p = static_cast<const unsigned char*>(data);
-  uint64_t h = seed;
+  uint64_t h = kFnvOffsetBasis;
   auto step = [&h](uint64_t word) {
     h = (h ^ word) * kMul;
     h ^= h >> 29;

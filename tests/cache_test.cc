@@ -443,14 +443,14 @@ TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
       opt::RuleConfig::DefaultWithFlip(100),
       opt::RuleConfig::DefaultWithFlip(120),
   };
-  // serial[i][c]: the reference result of jobs[i] under configs[c].
-  auto key = [](const Result<opt::CompilationOutput>& out) {
-    return out.ok() ? Serialize(*out) : out.status().ToString();
-  };
+  // serial[i][c]: the reference plan of jobs[i] under configs[c]. Every
+  // reference compile must succeed, so each comparison is of real plans.
   std::vector<std::vector<std::string>> serial(jobs.size());
   for (size_t i = 0; i < jobs.size(); ++i) {
     for (const opt::RuleConfig& config : configs) {
-      serial[i].push_back(key(ReferenceCompile(jobs[i], config)));
+      auto out = ReferenceCompile(jobs[i], config);
+      ASSERT_TRUE(out.ok()) << jobs[i].job_id;
+      serial[i].push_back(Serialize(*out));
     }
   }
   // 8 threads hammer the shared cache, repeating each job 4 times so the
@@ -464,9 +464,7 @@ TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
         for (size_t i = t % 2; i < jobs.size(); i += 2) {
           const size_t c = (i + r + static_cast<size_t>(t)) % configs.size();
           auto out = cached.CompileShared(jobs[i], configs[c]);
-          const std::string got =
-              out.ok() ? Serialize(**out) : out.status().ToString();
-          if (got != serial[i][c]) mismatch = true;
+          if (!out.ok() || Serialize(**out) != serial[i][c]) mismatch = true;
         }
       }
     });
