@@ -22,13 +22,19 @@
 // evaluation depend on observing those failures deterministically).
 //
 // Invalidation is by fingerprint: statistics drift or script edits change
-// the key, and stale entries age out of the sharded LRU. Entries are
-// immutable shared_ptr<const ...>, so results are byte-identical to a fresh
-// compile (tests compare against one) at any thread count and capacity.
+// the key, and stale entries age out of the sharded LRU. An aged-out entry
+// takes its plan and memo with it, but not on the compile that evicts it:
+// the LRU hands the entry back, and the process-wide Reclaimer
+// (reclaimer.h) frees it on a background thread. A caller still holding a result keeps
+// it alive through its shared_ptr. Entries are immutable
+// shared_ptr<const ...>, so results are byte-identical to a fresh compile
+// (tests compare against one) at any thread count and capacity.
 //
-// Env knobs (read by CompileCacheOptions::FromEnv, the ScopeEngine default):
+// Env knobs (read by CompileCacheOptions::FromEnv, the ScopeEngine default;
+// zero, signed or out-of-range values keep the defaults):
 //   QO_COMPILE_CACHE_CAPACITY=N   front-end entry bound
-//   QO_COMPILE_CACHE_SHARDS=N     shard count
+//   QO_COMPILE_CACHE_SHARDS=N     shard count (the cache clamps it to
+//                                 [1, capacity])
 #ifndef QO_CACHE_COMPILATION_CACHE_H_
 #define QO_CACHE_COMPILATION_CACHE_H_
 

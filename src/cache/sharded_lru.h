@@ -4,7 +4,12 @@
 // lives in shard `hash(key) % num_shards`, each shard owns an independent
 // mutex + LRU list, so concurrent lookups of unrelated keys never contend.
 // Values are handed out by copy — callers store shared_ptr<const T>, which
-// makes a hit O(1) and lets an entry outlive its own eviction.
+// makes a hit O(1).
+//
+// Eviction unlinks an entry under its shard lock and moves its value out to
+// the inserting caller, so no value's destructor ever runs under a shard
+// lock. The caller decides where the evicted values die: the engine hands
+// them to the cache::Reclaimer, which frees them on a background thread.
 //
 // Determinism note: hit/miss/eviction *timing* depends on thread
 // interleaving, but a cached value is always byte-identical to what the
@@ -13,6 +18,7 @@
 #ifndef QO_CACHE_SHARDED_LRU_H_
 #define QO_CACHE_SHARDED_LRU_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -38,12 +44,16 @@ template <typename Key, typename Value, typename Hasher>
 class ShardedLruCache {
  public:
   /// `capacity` is the total entry bound across shards (each shard gets an
-  /// equal slice, rounded up). `num_shards` <= 0 falls back to 1.
+  /// equal slice, rounded up, at least 1). `num_shards` is clamped to
+  /// [1, max(capacity, 1)], so no shard is empty by construction.
   ShardedLruCache(size_t capacity, int num_shards)
       : capacity_(capacity),
-        shards_(static_cast<size_t>(num_shards > 0 ? num_shards : 1)) {
-    per_shard_capacity_ = (capacity_ + shards_.size() - 1) / shards_.size();
-    if (per_shard_capacity_ == 0) per_shard_capacity_ = 1;
+        shards_(std::min(static_cast<size_t>(std::max(num_shards, 1)),
+                         std::max<size_t>(capacity, 1))) {
+    // Ceiling division that cannot overflow, even at capacity SIZE_MAX.
+    const size_t n = shards_.size();
+    per_shard_capacity_ =
+        std::max<size_t>(capacity_ / n + (capacity_ % n != 0 ? 1 : 0), 1);
   }
 
   /// Returns the cached value and refreshes its recency, or nullopt.
@@ -63,8 +73,12 @@ class ShardedLruCache {
   /// Inserts (or refreshes) `key`, evicting the shard's least-recently-used
   /// entries beyond capacity. Returns the resident value: on an insert race
   /// the first writer wins and later writers receive the existing entry, so
-  /// every caller observes one consistent value per key.
-  Value Insert(const Key& key, Value value) {
+  /// every caller observes one consistent value per key. Evicted values are
+  /// appended to `*evicted`; with a null `evicted` they die on return,
+  /// after the shard lock is released.
+  Value Insert(const Key& key, Value value,
+               std::vector<Value>* evicted = nullptr) {
+    std::vector<Value> dropped;  // destroyed after `lock` below
     Shard& shard = ShardOf(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
@@ -74,10 +88,8 @@ class ShardedLruCache {
     }
     shard.lru.emplace_front(key, std::move(value));
     shard.index.emplace(key, shard.lru.begin());
-    while (shard.index.size() > per_shard_capacity_) {
-      shard.index.erase(shard.lru.back().first);
-      shard.lru.pop_back();
-      ++shard.evictions;
+    if (shard.index.size() > per_shard_capacity_) {
+      EvictOverflow(shard, evicted != nullptr ? evicted : &dropped);
     }
     return shard.lru.front().second;
   }
@@ -85,9 +97,11 @@ class ShardedLruCache {
   /// Get-or-insert in one call. `compute` runs WITHOUT the shard lock (it
   /// may be arbitrarily expensive — a full compilation); two threads racing
   /// on the same missing key both compute, and Insert keeps the first.
-  Value GetOrCompute(const Key& key, const std::function<Value()>& compute) {
+  /// Evicted values are handed back as in Insert.
+  Value GetOrCompute(const Key& key, const std::function<Value()>& compute,
+                     std::vector<Value>* evicted = nullptr) {
     if (std::optional<Value> hit = Get(key)) return std::move(*hit);
-    return Insert(key, compute());
+    return Insert(key, compute(), evicted);
   }
 
   size_t size() const {
@@ -131,6 +145,18 @@ class ShardedLruCache {
     uint64_t misses = 0;
     uint64_t evictions = 0;
   };
+
+  /// Unlinks the shard's least-recently-used entries beyond its slice and
+  /// moves their values to `*out`. Out of line: only a miss that overflows
+  /// its shard pays for it.
+  [[gnu::noinline]] void EvictOverflow(Shard& shard, std::vector<Value>* out) {
+    while (shard.index.size() > per_shard_capacity_) {
+      out->push_back(std::move(shard.lru.back().second));
+      shard.index.erase(shard.lru.back().first);
+      shard.lru.pop_back();
+      ++shard.evictions;
+    }
+  }
 
   Shard& ShardOf(const Key& key) {
     return shards_[Hasher{}(key) % shards_.size()];

@@ -36,7 +36,8 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
       simulator_(cluster_config),
       options_fingerprint_(
           cache::OptimizerOptionsFingerprint(optimizer_options)),
-      front_end_(cache_options.capacity, cache_options.num_shards) {
+      front_end_(cache_options.capacity, cache_options.num_shards),
+      reclaimer_(cache::Reclaimer::Global()) {
   // The symbol table is process-wide, so its size is one series however
   // many engines are alive: registered by the first engine, never removed.
   static const int symbols_collector [[maybe_unused]] =
@@ -60,6 +61,7 @@ ScopeEngine::ScopeEngine(opt::OptimizerOptions optimizer_options,
 
 ScopeEngine::~ScopeEngine() {
   obs::Registry::Get().RemoveCollector(collector_id_);
+  reclaimer_.Flush();
 }
 
 cache::FrontEndPtr ScopeEngine::FrontEnd(
@@ -68,18 +70,24 @@ cache::FrontEndPtr ScopeEngine::FrontEnd(
   key.script_hash = HashBytesWide(job.script.data(), job.script.size());
   key.catalog_fingerprint =
       job.catalog.StatsFingerprint() ^ options_fingerprint_;
-  return front_end_.GetOrCompute(key, [&] {
-    auto entry = std::make_shared<cache::CachedFrontEnd>();
-    QO_OBS_SPAN("parse");
-    Result<scope::LogicalPlan> result =
-        scope::CompileSource(job.script, job.catalog);
-    if (result.ok()) {
-      entry->plan = std::move(result).value();
-    } else {
-      entry->status = result.status();
-    }
-    return cache::FrontEndPtr(std::move(entry));
-  });
+  std::vector<cache::FrontEndPtr> evicted;
+  cache::FrontEndPtr entry = front_end_.GetOrCompute(
+      key,
+      [&] {
+        auto fresh = std::make_shared<cache::CachedFrontEnd>();
+        QO_OBS_SPAN("parse");
+        Result<scope::LogicalPlan> result =
+            scope::CompileSource(job.script, job.catalog);
+        if (result.ok()) {
+          fresh->plan = std::move(result).value();
+        } else {
+          fresh->status = result.status();
+        }
+        return cache::FrontEndPtr(std::move(fresh));
+      },
+      &evicted);
+  reclaimer_.Retire(&evicted);
+  return entry;
 }
 
 Result<std::shared_ptr<const opt::CompilationOutput>>

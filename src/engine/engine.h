@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cache/compilation_cache.h"
+#include "cache/reclaimer.h"
 #include "common/status.h"
 #include "exec/cluster.h"
 #include "exec/metrics.h"
@@ -43,11 +44,12 @@ struct JobRunResult {
 /// Facade bundling the compiler, optimizer and cluster simulator.
 ///
 /// Telemetry: cross-config memo outcomes ("optimizer.memo.{full_hits,
-/// norm_hits,misses,full_dropped}") and profile-slot lookups
-/// ("exec.profile_{hits,misses}") are registry counters. The engine's
-/// collector exports its front-end cache ("cache.front_end.{hits,misses,
-/// evictions,entries,capacity}"); "optimizer.symbols" is exported once per
-/// process.
+/// norm_hits,misses,full_dropped}"), profile-slot lookups
+/// ("exec.profile_{hits,misses}") and freed evicted entries
+/// ("cache.front_end.{reclaimed,inline_frees}") are registry counters. The
+/// engine's collector exports its front-end cache ("cache.front_end.{hits,
+/// misses,evictions,entries,capacity}"); "optimizer.symbols" is exported
+/// once per process.
 ///
 /// Audited for the parallel runtime: compilation results are immutable and
 /// the front-end cache is internally synchronized (sharded mutexes); the
@@ -61,7 +63,8 @@ class ScopeEngine {
       exec::ClusterConfig cluster_config = {},
       cache::CompileCacheOptions cache_options =
           cache::CompileCacheOptions::FromEnv());
-  /// Deregisters the engine's registry collector.
+  /// Deregisters the engine's registry collector and waits until every
+  /// entry it evicted has been freed.
   ~ScopeEngine();
   ScopeEngine(const ScopeEngine&) = delete;
   ScopeEngine& operator=(const ScopeEngine&) = delete;
@@ -150,7 +153,8 @@ class ScopeEngine {
     obs::Histogram* exec_ns = nullptr;
   };
   TemplateHists TemplateHistsFor(const workload::JobInstance& job) const;
-  /// The job's front-end cache entry, parsing on miss.
+  /// The job's front-end cache entry, parsing on miss. Entries the insert
+  /// evicts go to the reclaimer.
   cache::FrontEndPtr FrontEnd(const workload::JobInstance& job) const;
   /// Probes the front-end entry's footprint memo before (and feeds it
   /// after) a real optimizer run. Returns a shared output — a full-tier hit
@@ -166,6 +170,10 @@ class ScopeEngine {
   uint64_t options_fingerprint_ = 0;
   /// Mutable state behind const CompileShared; internally synchronized.
   mutable cache::FrontEndCache front_end_;
+  /// Frees the entries front_end_ evicts, off the compile path: the
+  /// process-wide reclaimer (see reclaimer.h for why it is shared), bound
+  /// at construction so that it outlives every engine, static ones too.
+  cache::Reclaimer& reclaimer_;
   /// template_id -> latency histograms (read-mostly: shared lock on hit).
   mutable std::shared_mutex tpl_mu_;
   mutable std::unordered_map<int, TemplateHists> tpl_hists_;

@@ -8,12 +8,18 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <limits>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "cache/compilation_cache.h"
 #include "cache/fingerprint.h"
+#include "cache/reclaimer.h"
 #include "cache/sharded_lru.h"
 #include "common/hash.h"
 #include "core/span.h"
@@ -148,6 +154,124 @@ TEST(ShardedLruTest, ConcurrentMixedAccessIsConsistent) {
   EXPECT_EQ(stats.hits + stats.misses, 8u * 2000u);
 }
 
+TEST(ShardedLruTest, EvictedValuesAreHandedBack) {
+  IntCache c(/*capacity=*/2, /*num_shards=*/1);
+  std::vector<int> evicted;
+  c.Insert(1, 10, &evicted);
+  c.Insert(2, 20, &evicted);
+  EXPECT_TRUE(evicted.empty());
+  EXPECT_EQ(c.GetOrCompute(3, [] { return 30; }, &evicted), 30);
+  c.Insert(4, 40, &evicted);
+  EXPECT_EQ(evicted, (std::vector<int>{10, 20}));
+  EXPECT_EQ(c.stats().evictions, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Reclaimer.
+// ---------------------------------------------------------------------------
+
+/// Front-end entries whose deleter records the thread that frees them.
+class FreeLog {
+ public:
+  /// With a `gate`, the deleter first releases WaitUntilBlocked() and then
+  /// waits for the gate to open.
+  cache::FrontEndPtr Entry(std::shared_future<void> gate = {}) {
+    return cache::FrontEndPtr(
+        new cache::CachedFrontEnd, [this, gate](const cache::CachedFrontEnd* e) {
+          if (gate.valid()) {
+            blocked_.set_value();
+            gate.wait();
+          }
+          {
+            std::lock_guard<std::mutex> lock(mu_);
+            threads_.push_back(std::this_thread::get_id());
+          }
+          delete e;
+        });
+  }
+  std::vector<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+  /// Blocks until a gated entry is being freed. Call once.
+  void WaitUntilBlocked() { blocked_.get_future().wait(); }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::thread::id> threads_;
+  std::promise<void> blocked_;
+};
+
+/// Registry counters are process-wide; tests read them as deltas.
+struct FreeCounts {
+  double reclaimed = Series("cache.front_end.reclaimed");
+  double inline_frees = Series("cache.front_end.inline_frees");
+};
+
+TEST(ReclaimerTest, FreesOffTheCallingThreadAndDrainsOnDestroy) {
+  const FreeCounts before;
+  FreeLog log;
+  {
+    cache::Reclaimer reclaimer;
+    auto retire = [&](int n) {
+      for (int i = 0; i < n; ++i) {
+        std::vector<cache::FrontEndPtr> evicted = {log.Entry()};
+        reclaimer.Retire(&evicted);
+        EXPECT_TRUE(evicted.empty());
+      }
+    };
+    retire(50);
+    reclaimer.Flush();
+    EXPECT_EQ(log.threads().size(), 50u);
+    retire(50);
+  }
+  // The destructor freed whatever was still pending, all on its thread.
+  const std::vector<std::thread::id> threads = log.threads();
+  ASSERT_EQ(threads.size(), 100u);
+  for (const std::thread::id id : threads) {
+    EXPECT_NE(id, std::this_thread::get_id());
+  }
+  const FreeCounts after;
+  EXPECT_EQ(after.reclaimed - before.reclaimed, 100.0);
+  EXPECT_EQ(after.inline_frees - before.inline_frees, 0.0);
+}
+
+TEST(ReclaimerTest, FreesInlineOnceTheCapIsPending) {
+  const FreeCounts before;
+  FreeLog log;
+  std::promise<void> release;
+  {
+    cache::Reclaimer reclaimer;
+    // Stall the thread inside its first batch, then fill the pending list
+    // to the cap: the next entry has nowhere to go and dies in Retire.
+    std::vector<cache::FrontEndPtr> evicted = {
+        log.Entry(release.get_future().share())};
+    reclaimer.Retire(&evicted);
+    log.WaitUntilBlocked();
+    for (size_t i = 0; i < cache::Reclaimer::kMaxPending; ++i) {
+      evicted = {log.Entry()};
+      reclaimer.Retire(&evicted);
+    }
+    EXPECT_TRUE(log.threads().empty());
+    evicted = {log.Entry()};
+    reclaimer.Retire(&evicted);
+    EXPECT_TRUE(evicted.empty());
+    const std::vector<std::thread::id> freed_inline = log.threads();
+    release.set_value();  // before any ASSERT can leave the thread blocked
+    ASSERT_EQ(freed_inline.size(), 1u);
+    EXPECT_EQ(freed_inline[0], std::this_thread::get_id());
+  }
+  const std::vector<std::thread::id> threads = log.threads();
+  ASSERT_EQ(threads.size(), cache::Reclaimer::kMaxPending + 2);
+  for (size_t i = 1; i < threads.size(); ++i) {
+    EXPECT_NE(threads[i], std::this_thread::get_id()) << i;
+  }
+  const FreeCounts after;
+  EXPECT_EQ(after.reclaimed - before.reclaimed,
+            static_cast<double>(cache::Reclaimer::kMaxPending + 1));
+  EXPECT_EQ(after.inline_frees - before.inline_frees, 1.0);
+}
+
 // ---------------------------------------------------------------------------
 // Fingerprints.
 // ---------------------------------------------------------------------------
@@ -235,6 +359,37 @@ TEST(FingerprintTest, EnvKnobsParseAndDegrade) {
   cache::CompileCacheOptions fallback = cache::CompileCacheOptions::FromEnv();
   EXPECT_EQ(fallback.capacity, cache::CompileCacheOptions{}.capacity);
   EXPECT_EQ(fallback.capacity, 4096u);
+
+  // strtoull reads "-1" as ULLONG_MAX; signed, zero and out-of-range values
+  // all fall back to the defaults.
+  for (const char* bad : {"-1", "0", "+8", " 8", "99999999999999999999999"}) {
+    setenv("QO_COMPILE_CACHE_CAPACITY", bad, 1);
+    setenv("QO_COMPILE_CACHE_SHARDS", bad, 1);
+    const cache::CompileCacheOptions o = cache::CompileCacheOptions::FromEnv();
+    EXPECT_EQ(o.capacity, 4096u) << bad;
+    EXPECT_EQ(o.num_shards, 16) << bad;
+  }
+  // Above INT_MAX: a valid capacity, and a shard count that saturates.
+  setenv("QO_COMPILE_CACHE_CAPACITY", "3000000000", 1);
+  setenv("QO_COMPILE_CACHE_SHARDS", "3000000000", 1);
+  const cache::CompileCacheOptions big = cache::CompileCacheOptions::FromEnv();
+  EXPECT_EQ(big.capacity, 3000000000u);
+  EXPECT_EQ(big.num_shards, std::numeric_limits<int>::max());
+  // More shards than entries: clamped to the capacity, so a 10^8-shard
+  // request allocates 8 shards and the bound still holds.
+  setenv("QO_COMPILE_CACHE_CAPACITY", "8", 1);
+  setenv("QO_COMPILE_CACHE_SHARDS", "100000000", 1);
+  const cache::CompileCacheOptions wide = cache::CompileCacheOptions::FromEnv();
+  IntCache clamped(wide.capacity, wide.num_shards);
+  EXPECT_EQ(clamped.num_shards(), 8u);
+  for (int i = 0; i < 1000; ++i) clamped.Insert(i, i);
+  EXPECT_EQ(clamped.size(), 8u);
+  // The per-shard slice of a huge capacity must not overflow into a tiny
+  // cache (the old ceiling division wrapped around at ULLONG_MAX).
+  IntCache huge(std::numeric_limits<size_t>::max(), 16);
+  for (int i = 0; i < 1000; ++i) huge.Insert(i, i);
+  EXPECT_EQ(huge.size(), 1000u);
+  EXPECT_EQ(huge.stats().evictions, 0u);
 }
 
 std::vector<workload::JobInstance> Jobs(int templates = 12, int jobs = 24) {
@@ -430,9 +585,44 @@ TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
   EXPECT_GT(Series("cache.front_end.evictions"), 0.0);
 }
 
-TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
-  engine::ScopeEngine cached = CachedEngine();
-  std::vector<workload::JobInstance> jobs = Jobs(8, 32);
+// An evicted entry leaves the compile path through the reclaimer: whatever
+// the thread has got to, the engine's destructor frees it, and every
+// eviction is counted as freed exactly once.
+TEST(CompilationCacheTest, EvictedEntriesAreFreedByEngineDestruction) {
+  const FreeCounts before;
+  std::weak_ptr<const scope::LogicalPlan> first;
+  double evictions = 0;
+  {
+    cache::CompileCacheOptions options;
+    options.capacity = 1;
+    engine::ScopeEngine engine({}, {}, options);
+    const std::vector<workload::JobInstance> jobs = Jobs(6, 12);
+    {
+      auto plan = engine.CompileFrontEnd(jobs[0]);
+      ASSERT_TRUE(plan.ok());
+      first = *plan;  // aliases the cache entry's control block
+    }
+    EXPECT_FALSE(first.expired());
+    for (const auto& job : jobs) {
+      auto out = engine.CompileShared(job, opt::RuleConfig::Default());
+      ASSERT_TRUE(out.ok()) << job.job_id;
+    }
+    // jobs[0] is still resident; each later job evicts its predecessor.
+    evictions = Series("cache.front_end.evictions");
+    EXPECT_EQ(evictions, static_cast<double>(jobs.size() - 1));
+  }
+  EXPECT_TRUE(first.expired());
+  const FreeCounts after;
+  EXPECT_EQ(after.reclaimed - before.reclaimed +
+                (after.inline_frees - before.inline_frees),
+            evictions);
+}
+
+/// 8 threads compile `jobs` on `cached`, each job 4 times under rotating
+/// configs, and every result must equal its reference compile.
+void ExpectConcurrentCompilesMatchSerial(
+    const engine::ScopeEngine& cached,
+    const std::vector<workload::JobInstance>& jobs) {
   // The default, two consulted rules (one read during normalization, one
   // after it) and two unwired placeholders: concurrent compiles of one job
   // then race FindFull, FindNorm and InsertFull on the same memo.
@@ -471,6 +661,22 @@ TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
   }
   for (auto& th : threads) th.join();
   EXPECT_FALSE(mismatch);
+}
+
+TEST(CompilationCacheTest, ConcurrentCompilesAreIdenticalToSerial) {
+  engine::ScopeEngine cached = CachedEngine();
+  ExpectConcurrentCompilesMatchSerial(cached, Jobs(8, 32));
+}
+
+// A capacity-4 engine (4 shards of one entry) evicts on nearly every miss,
+// so evictions and the hand-off to the reclaimer race with probes and memo
+// inserts on entries other threads still hold.
+TEST(CompilationCacheTest, ConcurrentCompilesWithEvictionsAreIdenticalToSerial) {
+  cache::CompileCacheOptions options;
+  options.capacity = 4;
+  engine::ScopeEngine cached({}, {}, options);
+  ExpectConcurrentCompilesMatchSerial(cached, Jobs(16, 64));
+  EXPECT_GT(Series("cache.front_end.evictions"), 0.0);
 }
 
 TEST(CompilationCacheTest, EvaluateFlipToleratesHandBuiltFeatures) {
@@ -516,8 +722,10 @@ struct MiniFig10Output {
   std::vector<std::string> sis_files;
   size_t active_hints = 0;
   std::string eval_view;
-  /// Parses the run's engine made ("cache.front_end.misses").
+  /// Parses the run's engine made ("cache.front_end.misses") and the
+  /// entries it evicted ("cache.front_end.evictions").
   double front_end_misses = 0;
+  double front_end_evictions = 0;
 };
 
 MiniFig10Output RunMiniFig10(int threads) {
@@ -563,6 +771,7 @@ MiniFig10Output RunMiniFig10(int threads) {
     out.eval_view += row.rule_signature.ToString(64) + buf;
   }
   out.front_end_misses = Series("cache.front_end.misses");
+  out.front_end_evictions = Series("cache.front_end.evictions");
   return out;
 }
 
@@ -578,6 +787,40 @@ TEST(CompilationCacheTest, MiniFig10CompileWorkIsPinned) {
   EXPECT_EQ(Series("optimizer.memo.norm_hits"), 475.0);
   EXPECT_EQ(out.front_end_misses, 336.0);
   EXPECT_EQ(Series("optimizer.memo.full_dropped"), 0.0);
+}
+
+// The same run on a 32-entry cache, which evicts and re-parses. Where
+// evicted entries are freed must not change which entries are evicted or
+// when, so every work count below is pinned to the build that freed them
+// inline under the shard lock. One shard keeps the eviction order a pure
+// function of the access order: shard choice hashes the catalog
+// fingerprint, which hashes interned symbol ids, and those depend on what
+// earlier tests in the process interned. "bandit.combines" is 0 because the
+// pipeline hands the personalizer precombined features.
+TEST(CompilationCacheTest, MiniFig10WorkWithEvictionsIsPinned) {
+  EnvGuard guard;
+  setenv("QO_COMPILE_CACHE_CAPACITY", "32", 1);
+  setenv("QO_COMPILE_CACHE_SHARDS", "1", 1);
+  obs::Registry::Get().ZeroAllForTest();
+  const MiniFig10Output out = RunMiniFig10(/*threads=*/1);
+  EXPECT_EQ(out.front_end_misses, 551.0);
+  EXPECT_EQ(out.front_end_evictions, 519.0);
+  const std::map<std::string, double> pinned = {
+      {"optimizer.memo.misses", 798},    {"optimizer.memo.norm_hits", 451},
+      {"optimizer.memo.full_hits", 196}, {"optimizer.memo.full_dropped", 0},
+      {"exec.prepares", 362},            {"bandit.combines", 0},
+      {"bandit.precombined_reused", 5384},
+      {"flight.batches", 6},             {"flight.success", 23},
+      {"flight.failure", 4},             {"flight.timeout", 0},
+  };
+  const obs::MetricsSnapshot snapshot = obs::Registry::Get().Snapshot();
+  for (const auto& [name, value] : pinned) {
+    EXPECT_EQ(snapshot.SeriesValue(name), value) << name;
+  }
+  // The run's engine is gone, so each eviction has been freed exactly once.
+  EXPECT_EQ(snapshot.SeriesValue("cache.front_end.reclaimed") +
+                snapshot.SeriesValue("cache.front_end.inline_frees"),
+            out.front_end_evictions);
 }
 
 TEST(CompilationCacheTest, PipelineOutputIdenticalAcrossThreads) {
