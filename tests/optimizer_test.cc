@@ -7,12 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "engine/engine.h"
 #include "obs/metrics.h"
 #include "optimizer/cardinality.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
+#include "optimizer_job_set.h"
 #include "reference_compile.h"
 #include "runtime/runtime.h"
 #include "scope/compiler.h"
@@ -488,6 +490,116 @@ TEST(OptimizerPlanTest, TrueRowsUseAnnotationsNotEstimates) {
       EXPECT_DOUBLE_EQ(node.true_rows, 5e7);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Pinned outputs: the memo tests above compare the engine against
+// ReferenceCompile, and both run this optimizer, so a plan change inside the
+// search would pass them. This digest pins the optimizer's own outputs over a
+// fixed job set; it changes only when a plan, cost or signature does.
+// ---------------------------------------------------------------------------
+
+// What OutputKey's plan dump leaves out and the simulator reads: each
+// node's predicates, projections, grouping, output path, ground-truth and
+// size annotations, local cost and schema.
+std::string NodeDetails(const PhysicalPlan& plan) {
+  std::string out;
+  char num[32];
+  auto add = [&](double v) {
+    std::snprintf(num, sizeof(num), "%.17g,", v);
+    out += num;
+  };
+  for (const PhysicalNode& n : plan.nodes) {
+    for (const scope::Predicate& p : n.predicates) {
+      out += p.ToString();
+      add(p.true_selectivity);
+    }
+    out += '|';
+    for (const scope::SelectItem& s : n.projections) {
+      out += s.ToString();
+      out += ',';
+    }
+    out += '|';
+    for (const std::string& g : n.group_by) {
+      out += g;
+      out += ',';
+    }
+    out += '|';
+    out += n.output_path;
+    out += '|';
+    for (double v : {n.true_fanout, n.est_bytes, n.true_rows, n.true_bytes,
+                     n.local_cost}) {
+      add(v);
+    }
+    if (n.schema != nullptr) {
+      for (const scope::Column& c : n.schema->columns) {
+        out += c.name;
+        out += ',';
+      }
+    }
+    out += '\n';
+  }
+  return out;
+}
+
+uint64_t FoldResult(const Result<CompilationOutput>& out, uint64_t h) {
+  if (!out.ok()) return HashString(out.status().ToString(), h);
+  return HashString(NodeDetails(out->plan), HashString(OutputKey(*out), h));
+}
+
+// Captured from a build of commit 2b83840. Update them only with a change
+// that means to move plans, and say which plans moved and why.
+constexpr size_t kPinnedJobCount = 101;
+constexpr size_t kPinnedNormalizedRuns = 2971;
+constexpr size_t kPinnedFailures = 778;
+constexpr uint64_t kPinnedDigest = 0xa58a0932e894d03cULL;
+
+TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
+  const std::vector<PinnedJob> jobs = PinnedJobs();
+  const std::vector<RuleConfig> configs = PinnedConfigs();
+  const RuleConfig base = RuleConfig::Default();
+  uint64_t digest = kFnvOffsetBasis;
+  size_t full_runs = 0, normalized_runs = 0, failures = 0;
+  BitVector256 used_rules;  // union of every successful signature
+  for (const PinnedJob& pj : jobs) {
+    Optimizer optimizer(pj.job.catalog);
+    BitVector256 norm_consulted;
+    std::shared_ptr<const NormalizedPlan> normalized;
+    auto base_out = optimizer.OptimizeTracked(pj.plan, base, &norm_consulted,
+                                              nullptr, &normalized);
+    ASSERT_TRUE(base_out.ok()) << pj.job.job_id << ": " << base_out.status();
+    ASSERT_NE(normalized, nullptr);
+    for (const RuleConfig& config : configs) {
+      auto full = optimizer.Optimize(pj.plan, config);
+      digest = FoldResult(full, digest);
+      ++full_runs;
+      failures += full.ok() ? 0 : 1;
+      if (full.ok()) used_rules |= full->signature;
+      if (!AgreesOn(config, base, norm_consulted)) continue;
+      auto restarted =
+          optimizer.OptimizeFromNormalized(*normalized, config, nullptr);
+      // The restart must reproduce the full run (the memo's soundness).
+      ASSERT_EQ(restarted.ok(), full.ok()) << pj.job.job_id;
+      if (full.ok()) {
+        ASSERT_EQ(OutputKey(*restarted), OutputKey(*full)) << pj.job.job_id;
+      }
+      digest = FoldResult(restarted, HashU64(0x5eed, digest));
+      ++normalized_runs;
+    }
+  }
+  EXPECT_EQ(jobs.size(), kPinnedJobCount);
+  EXPECT_EQ(full_runs, kPinnedJobCount * configs.size());
+  EXPECT_EQ(normalized_runs, kPinnedNormalizedRuns);
+  EXPECT_EQ(failures, kPinnedFailures);
+  // Some winner uses every exploration, so a transform whose copies carry
+  // the wrong `applied` mask moves some plan in the digest.
+  for (int rule : {rules::kEagerAggregationLeft, rules::kEagerAggregationRight,
+                   rules::kJoinAssociativity, rules::kPushJoinThroughUnion,
+                   rules::kBroadcastJoinAggressive, rules::kJoinCommute}) {
+    EXPECT_TRUE(used_rules.Test(rule)) << "rule " << rule;
+  }
+  EXPECT_EQ(digest, kPinnedDigest) << std::hex << "0x" << digest;
 }
 
 }  // namespace
