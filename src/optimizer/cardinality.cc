@@ -25,6 +25,9 @@ void CapNdvAll(NdvMap* ndv, double rows) {
 RelStats StatsDeriver::Scan(Symbol table_path,
                             const scope::Schema& schema) const {
   RelStats out;
+  // One block per column: a grown-on-demand map reallocated both columns
+  // log(n) times per scan.
+  out.ndv.Reserve(schema.columns.size());
   auto stats = catalog_.Lookup(table_path);
   if (!stats.ok()) {
     // Unregistered input: assume a small table so compilation can proceed.
@@ -84,6 +87,11 @@ RelStats StatsDeriver::Project(
     const std::vector<scope::SelectItem>& projections) const {
   RelStats out;
   out.rows = input.rows;
+  size_t entries = 0;
+  for (const auto& item : projections) {
+    entries += scope::ColumnSymOf(item) == kSymStar ? input.ndv.size() : 1;
+  }
+  out.ndv.Reserve(entries);  // the `*` copy-assign below reuses the block
   for (const auto& item : projections) {
     Symbol col_sym = scope::ColumnSymOf(item);
     if (col_sym == kSymStar) {
@@ -152,6 +160,7 @@ RelStats StatsDeriver::Aggregate(
     groups = std::pow(groups, mode_ == StatsMode::kEstimated ? 1.0 : 0.9);
     out.rows = std::min(groups, input.rows);
   }
+  out.ndv.Reserve(group_by.size() + aggs.size());
   for (Symbol g : group_by) {
     out.ndv[g] = CapNdv(input.NdvOf(g), out.rows);
   }
@@ -165,14 +174,20 @@ RelStats StatsDeriver::PartialAggregate(const RelStats& input,
                                         const std::vector<Symbol>& group_by,
                                         int partitions) const {
   RelStats out = input;
+  out.rows = PartialAggregateRows(input, group_by, partitions);
+  CapNdvAll(&out.ndv, out.rows);
+  return out;
+}
+
+double StatsDeriver::PartialAggregateRows(const RelStats& input,
+                                          const std::vector<Symbol>& group_by,
+                                          int partitions) const {
   double groups = 1.0;
   for (Symbol g : group_by) {
     groups *= std::max(1.0, input.NdvOf(g));
   }
   groups = std::min(groups, input.rows);
-  out.rows = std::min(input.rows, groups * std::max(1, partitions));
-  CapNdvAll(&out.ndv, out.rows);
-  return out;
+  return std::min(input.rows, groups * std::max(1, partitions));
 }
 
 RelStats StatsDeriver::UnionAll(const RelStats& left,

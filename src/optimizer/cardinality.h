@@ -161,6 +161,12 @@ class StatsDeriver {
     return PartialAggregate(input, InternAll(group_by), partitions);
   }
 
+  /// PartialAggregate's output row count alone (no NDV map copy), for
+  /// callers that cost a partial phase without building its group.
+  double PartialAggregateRows(const RelStats& input,
+                              const std::vector<Symbol>& group_by,
+                              int partitions) const;
+
   RelStats UnionAll(const RelStats& left, const RelStats& right) const;
 
   /// Selectivity of one predicate under this mode.

@@ -12,8 +12,8 @@ int ChoosePartitions(double est_bytes, double bytes_per_partition,
 }
 
 double CostModel::LocalCost(const PhysicalNode& node,
-                            const std::vector<double>& child_rows,
-                            const std::vector<double>& child_bytes) const {
+                            std::span<const double> child_rows,
+                            std::span<const double> child_bytes) const {
   auto rows_in = [&](size_t i) {
     return i < child_rows.size() ? child_rows[i] : 0.0;
   };

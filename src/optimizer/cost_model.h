@@ -8,6 +8,8 @@
 #ifndef QO_OPTIMIZER_COST_MODEL_H_
 #define QO_OPTIMIZER_COST_MODEL_H_
 
+#include <span>
+
 #include "optimizer/physical_plan.h"
 
 namespace qo::opt {
@@ -41,9 +43,9 @@ class CostModel {
 
   /// Estimated local cost of `node`. `child_rows` / `child_bytes` are the
   /// estimated output sizes of the children in order (empty for leaves).
-  double LocalCost(const PhysicalNode& node,
-                   const std::vector<double>& child_rows,
-                   const std::vector<double>& child_bytes) const;
+  /// Spans, so the search costs each candidate from stack arrays.
+  double LocalCost(const PhysicalNode& node, std::span<const double> child_rows,
+                   std::span<const double> child_bytes) const;
 
  private:
   CostParams params_;

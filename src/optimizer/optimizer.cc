@@ -1,13 +1,12 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -37,19 +36,25 @@ struct PhysProp {
     kSingleton,  ///< single partition
   };
   Kind kind = Kind::kAny;
-  std::string key;            ///< rendered into exchange_key (display only)
+  /// Key column name, rendered into exchange_key (display only). Points
+  /// into the memo expr the property was derived from, which outlives the
+  /// search, so copying a property copies no string.
+  const std::string* key = nullptr;
   Symbol key_sym = kSymEmpty; ///< identity used for hashing/equality
   int partitions_hint = 0;  ///< consumer partitions for kBroadcast requests
 
-  static PhysProp Any() { return {Kind::kAny, "", kSymEmpty, 0}; }
-  static PhysProp Random() { return {Kind::kRandom, "", kSymEmpty, 0}; }
-  static PhysProp Hash(std::string k, Symbol s) {
-    return {Kind::kHash, std::move(k), s, 0};
+  static PhysProp Any() { return {Kind::kAny, nullptr, kSymEmpty, 0}; }
+  static PhysProp Random() { return {Kind::kRandom, nullptr, kSymEmpty, 0}; }
+  static PhysProp Hash(const std::string& k, Symbol s) {
+    return {Kind::kHash, &k, s, 0};
   }
+  static PhysProp Hash(std::string&&, Symbol) = delete;  // would dangle
   static PhysProp Broadcast(int consumers) {
-    return {Kind::kBroadcast, "", kSymEmpty, consumers};
+    return {Kind::kBroadcast, nullptr, kSymEmpty, consumers};
   }
-  static PhysProp Singleton() { return {Kind::kSingleton, "", kSymEmpty, 0}; }
+  static PhysProp Singleton() {
+    return {Kind::kSingleton, nullptr, kSymEmpty, 0};
+  }
 
   uint64_t HashValue() const {
     // Injective pack of (kind, partitions_hint, key_sym): unlike the old
@@ -96,6 +101,7 @@ class Normalizer {
   /// Runs all enabled rewrites to fixpoint; returns the bit set of rules
   /// that actually changed the plan.
   BitVector256 Run() {
+    memo_.assign(plan_->nodes.size(), -1);
     for (int& root : plan_->roots) root = Rewrite(root);
     PruneColumns();
     return fired_;
@@ -105,8 +111,7 @@ class Normalizer {
   bool Enabled(int rule) const { return config_.IsEnabled(rule); }
 
   int Rewrite(int id) {
-    auto it = memo_.find(id);
-    if (it != memo_.end()) return it->second;
+    if (memo_[id] >= 0) return memo_[id];
     LogicalNode node = plan_->node(id);  // copy: children may be replaced
     for (int& c : node.children) c = Rewrite(c);
     int current = plan_->AddNode(std::move(node));
@@ -335,53 +340,49 @@ class Normalizer {
     bool join_on = has_join && Enabled(rules::kProjectPruneBelowJoin);
     bool agg_on = has_agg && Enabled(rules::kProjectPruneBelowAgg);
     if (!join_on && !agg_on) return;
-    // Required column sets, propagated from the roots down.
-    std::unordered_map<int, std::unordered_set<Symbol>> required;
+    // Required column sets, indexed by node id and propagated from the
+    // roots down.
+    std::vector<ColumnSet> required(plan_->nodes.size());
+    for (int id : order) {
+      required[id].reserve(plan_->node(id).schema.columns.size());
+    }
     for (int root : plan_->roots) {
       for (const auto& c : plan_->node(root).schema.columns) {
-        required[root].insert(c.sym);
+        Require(&required[root], c.sym);
       }
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const LogicalNode& n = plan_->node(*it);
-      std::unordered_set<Symbol>& req = required[*it];
+      ColumnSet& req = required[*it];
       // Columns this node itself consumes.
       for (const Predicate& p : n.predicates) {
-        req.insert(scope::ColumnSymOf(p));
+        Require(&req, scope::ColumnSymOf(p));
       }
       for (const SelectItem& s : n.projections) {
         Symbol col_sym = scope::ColumnSymOf(s);
-        if (col_sym != kSymStar) req.insert(col_sym);
+        if (col_sym != kSymStar) Require(&req, col_sym);
       }
-      for (Symbol g : n.group_by_syms) req.insert(g);
+      for (Symbol g : n.group_by_syms) Require(&req, g);
       if (n.kind == LogicalOpKind::kJoin) {
-        req.insert(n.left_key_sym);
-        req.insert(n.right_key_sym);
+        Require(&req, n.left_key_sym);
+        Require(&req, n.right_key_sym);
       }
       for (int c : n.children) {
         const Schema& cs = plan_->node(c).schema;
+        // Every operator passes the columns required of it through to the
+        // child that has them, as do the columns it consumes itself.
         for (const auto& col : cs.columns) {
-          bool needed = req.count(col.sym) > 0;
-          // Projections / aggregates cut the dependency chain; other
-          // operators pass requirements through.
-          if (n.kind == LogicalOpKind::kFilter ||
-              n.kind == LogicalOpKind::kUnionAll ||
-              n.kind == LogicalOpKind::kOutput ||
-              n.kind == LogicalOpKind::kJoin) {
-            if (needed) required[c].insert(col.sym);
-          } else if (needed) {
-            required[c].insert(col.sym);
-          }
+          if (Contains(req, col.sym)) Require(&required[c], col.sym);
         }
-        // Node-consumed columns also flow to whichever child has them.
-        for (Symbol col : std::vector<Symbol>(req.begin(), req.end())) {
-          if (cs.HasColumn(col)) required[c].insert(col);
+        for (Symbol col : req) {
+          if (cs.HasColumn(col)) Require(&required[c], col);
         }
       }
     }
     // Insert pruning projects below joins/aggregates. Note: AddNode may
     // reallocate the arena, so nodes are re-fetched by id after every
     // insertion instead of held by reference.
+    std::vector<const scope::Column*> kept;
     for (int id : order) {
       bool is_join = plan_->node(id).kind == LogicalOpKind::kJoin;
       bool is_agg = plan_->node(id).kind == LogicalOpKind::kAggregate;
@@ -393,10 +394,10 @@ class Normalizer {
       for (size_t ci = 0; ci < n_children; ++ci) {
         int c = plan_->node(id).children[ci];
         if (plan_->node(c).kind == LogicalOpKind::kProject) continue;
-        const auto& req = required[c];
-        std::vector<scope::Column> kept;
+        // `kept` points into c's schema: valid until the AddNode below.
+        kept.clear();
         for (const auto& col : plan_->node(c).schema.columns) {
-          if (req.count(col.sym) > 0) kept.push_back(col);
+          if (Contains(required[c], col.sym)) kept.push_back(&col);
         }
         if (kept.empty() ||
             kept.size() >= plan_->node(c).schema.columns.size()) {
@@ -405,8 +406,8 @@ class Normalizer {
         // Prune only when it meaningfully narrows rows; marginal projects
         // cost more CPU than the width they save.
         double kept_width = 0.0;
-        for (const auto& col : kept) {
-          kept_width += scope::ColumnTypeWidth(col.type);
+        for (const scope::Column* col : kept) {
+          kept_width += scope::ColumnTypeWidth(col->type);
         }
         if (kept_width > 0.75 * plan_->node(c).schema.RowWidthBytes()) {
           continue;
@@ -414,14 +415,16 @@ class Normalizer {
         LogicalNode proj;
         proj.kind = LogicalOpKind::kProject;
         proj.children = {c};
-        for (const auto& col : kept) {
+        proj.projections.reserve(kept.size());
+        proj.schema.columns.reserve(kept.size());
+        for (const scope::Column* col : kept) {
           SelectItem item;
-          item.column = col.name;
-          item.column_sym = col.sym;
+          item.column = col->name;
+          item.column_sym = col->sym;
           item.alias_sym = kSymEmpty;
-          item.out_sym = col.sym;
+          item.out_sym = col->sym;
           proj.projections.push_back(std::move(item));
-          proj.schema.columns.push_back(col);
+          proj.schema.columns.push_back(*col);
         }
         int proj_id = plan_->AddNode(std::move(proj));
         plan_->node(id).children[ci] = proj_id;
@@ -431,22 +434,38 @@ class Normalizer {
     }
   }
 
+  /// A duplicate-free column set. Only membership is read, and a node needs
+  /// a handful of columns, so a linearly probed vector beats a hash set.
+  using ColumnSet = std::vector<Symbol>;
+
+  static bool Contains(const ColumnSet& set, Symbol col) {
+    return std::find(set.begin(), set.end(), col) != set.end();
+  }
+  static void Require(ColumnSet* set, Symbol col) {
+    if (!Contains(*set, col)) set->push_back(col);
+  }
+
   std::vector<int> TopologicalOrder() const {
     std::vector<int> order;
-    std::unordered_set<int> seen;
-    std::function<void(int)> visit = [&](int id) {
-      if (!seen.insert(id).second) return;
-      for (int c : plan_->node(id).children) visit(c);
-      order.push_back(id);
-    };
-    for (int r : plan_->roots) visit(r);
+    order.reserve(plan_->nodes.size());
+    std::vector<char> seen(plan_->nodes.size(), 0);
+    for (int r : plan_->roots) Visit(r, &seen, &order);
     return order;  // children before parents
+  }
+
+  void Visit(int id, std::vector<char>* seen, std::vector<int>* order) const {
+    if ((*seen)[id]) return;
+    (*seen)[id] = 1;
+    for (int c : plan_->node(id).children) Visit(c, seen, order);
+    order->push_back(id);
   }
 
   LogicalPlan* plan_;
   const RuleConfig& config_;
   BitVector256 fired_;
-  std::unordered_map<int, int> memo_;
+  /// Rewritten id per input node id (-1 until rewritten). Rewrite only
+  /// visits input nodes: the roots and, recursively, their children.
+  std::vector<int> memo_;
 };
 
 // ---------------------------------------------------------------------------
@@ -471,6 +490,9 @@ struct MExpr {
   bool partial_agg = false;  ///< local pre-aggregation (eager agg)
   BitVector256 derivation;   ///< transformation rules that produced this expr
   uint32_t applied = 0;      ///< transformation-rule bitmask already tried
+  /// Fingerprint(), stored when the expr enters its group (children are
+  /// group ids, so it never changes afterwards).
+  uint64_t fingerprint = 0;
 
   /// Structural identity hash over interned ids — replaces the old string
   /// key. Field counts are chained in as separators so adjacent lists can't
@@ -528,10 +550,11 @@ struct Winner {
 };
 
 struct Group {
-  /// deque: appending alternatives never moves existing exprs, so the
+  /// The group's alternatives in insertion order, as pointers into the
+  /// search's expression arena. The arena never moves an expr, so the
   /// search holds references across AddExprToGroup instead of deep-copying
   /// every MExpr it touches.
-  std::deque<MExpr> exprs;
+  std::vector<MExpr*> exprs;
   /// Output schema, built once in MakeGroup and shared (refcount bump, not
   /// column-vector copy) into every PhysicalNode implemented from this
   /// group. Never null for a constructed group.
@@ -539,8 +562,34 @@ struct Group {
   RelStats est;
   RelStats tru;
   bool explored = false;
-  std::unordered_map<uint64_t, Winner> winners;
-  std::unordered_set<uint64_t> fingerprints;
+  /// Best plan per requested property, keyed by PhysProp::HashValue(). A
+  /// group sees a handful of keys, so a flat vector beats a hash map.
+  std::vector<std::pair<uint64_t, Winner>> winners;
+};
+
+/// Append-only storage for one search's groups and exprs. Elements never
+/// move, so references survive appends (as in a deque, whose chunks hold a
+/// single MExpr or two Groups), and a typical search fits in one block.
+template <typename T, size_t kBlock>
+class StableArena {
+ public:
+  size_t size() const { return size_; }
+  T& operator[](size_t i) { return blocks_[i / kBlock][i % kBlock]; }
+  const T& operator[](size_t i) const {
+    return blocks_[i / kBlock][i % kBlock];
+  }
+
+  T& Append(T&& value) {
+    if (size_ % kBlock == 0) blocks_.push_back(std::make_unique<T[]>(kBlock));
+    T& slot = blocks_.back()[size_ % kBlock];
+    slot = std::move(value);
+    ++size_;
+    return slot;
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> blocks_;
+  size_t size_ = 0;
 };
 
 // Local indices for the `applied` bitmask.
@@ -596,12 +645,12 @@ class MemoOptimizer {
     config_.TrackConsulted(post_sink);
     RegisterScanSchemas(norm.plan);
     // One up-front block for the candidate arena: typical searches stay
-    // under this, so AddNode never reallocates (PhysicalNode is string- and
-    // vector-heavy; doubling growth moved every candidate ~log N times).
+    // under this, so AddNode never reallocates.
     scratch_.nodes.reserve(128);
+    payload_.reserve(128);
 
     // Build memo groups from the normalized DAG.
-    std::unordered_map<int, int> node_to_group;
+    std::vector<int> node_to_group(norm.plan.nodes.size(), -1);
     std::vector<int> root_groups;
     for (int r : norm.plan.roots) {
       QO_ASSIGN_OR_RETURN(int g, BuildGroup(norm.plan, r, &node_to_group));
@@ -635,10 +684,10 @@ class MemoOptimizer {
  private:
   // ----- Memo construction -------------------------------------------------
 
+  /// `node_to_group` maps normalized node ids to group ids (-1 = none yet).
   Result<int> BuildGroup(const LogicalPlan& plan, int node_id,
-                         std::unordered_map<int, int>* node_to_group) {
-    auto it = node_to_group->find(node_id);
-    if (it != node_to_group->end()) return it->second;
+                         std::vector<int>* node_to_group) {
+    if ((*node_to_group)[node_id] >= 0) return (*node_to_group)[node_id];
     const LogicalNode& n = plan.node(node_id);
     MExpr expr;
     expr.kind = n.kind;
@@ -654,6 +703,7 @@ class MemoOptimizer {
     expr.right_key_sym = n.right_key_sym;
     expr.true_fanout = n.true_fanout;
     expr.output_path = n.output_path;
+    expr.children.reserve(n.children.size());
     for (int c : n.children) {
       QO_ASSIGN_OR_RETURN(int g, BuildGroup(plan, c, node_to_group));
       expr.children.push_back(g);
@@ -668,9 +718,9 @@ class MemoOptimizer {
     group.schema = std::make_shared<const Schema>(std::move(schema));
     group.est = DeriveStats(expr, est_);
     group.tru = DeriveStats(expr, tru_);
-    group.fingerprints.insert(expr.Fingerprint());
-    group.exprs.push_back(std::move(expr));
-    groups_.push_back(std::move(group));
+    expr.fingerprint = expr.Fingerprint();
+    group.exprs.push_back(&exprs_.Append(std::move(expr)));
+    groups_.Append(std::move(group));
     return static_cast<int>(groups_.size()) - 1;
   }
 
@@ -713,18 +763,29 @@ class MemoOptimizer {
 
   // Scans derive stats from their full extracted schema (before embedded
   // predicates); the group schema already equals it.
-  Schema SchemaOfScan(const MExpr& e) const {
-    auto it = scan_schema_.find(SymOf(e.table_sym, e.table_path));
-    return it != scan_schema_.end() ? it->second : Schema{};
+  const Schema& SchemaOfScan(const MExpr& e) const {
+    static const Schema kUnknown;
+    const Symbol table = SymOf(e.table_sym, e.table_path);
+    for (const auto& [sym, schema] : scan_schema_) {
+      if (sym == table) return *schema;
+    }
+    return kUnknown;
   }
 
-  /// Remembers scan schemas before BuildGroup runs. The normalized arena
-  /// still contains every original scan node (rewrites only append), so
-  /// registering from it is equivalent to registering from the input plan.
+  /// Remembers scan schemas before BuildGroup runs (the last scan of a
+  /// table wins). The normalized arena still contains every original scan
+  /// node (rewrites only append), so registering from it is equivalent to
+  /// registering from the input plan.
   void RegisterScanSchemas(const LogicalPlan& plan) {
     for (const auto& n : plan.nodes) {
-      if (n.kind == LogicalOpKind::kScan) {
-        scan_schema_[SymOf(n.table_sym, n.table_path)] = n.schema;
+      if (n.kind != LogicalOpKind::kScan) continue;
+      const Symbol table = SymOf(n.table_sym, n.table_path);
+      auto it = std::find_if(scan_schema_.begin(), scan_schema_.end(),
+                             [&](const auto& e) { return e.first == table; });
+      if (it != scan_schema_.end()) {
+        it->second = &n.schema;
+      } else {
+        scan_schema_.emplace_back(table, &n.schema);
       }
     }
   }
@@ -739,9 +800,9 @@ class MemoOptimizer {
              static_cast<size_t>(options_.max_exprs_per_group);
          ++i) {
       // Explore children first so their alternatives are visible to
-      // pattern-matching rules here. Safe by reference: both arenas are
-      // deques, so recursive exploration can append without moving exprs[i].
-      for (int c : groups_[gid].exprs[i].children) ExploreGroup(c);
+      // pattern-matching rules here. Safe by reference: exprs live in the
+      // arena, so recursive exploration can append without moving exprs[i].
+      for (int c : groups_[gid].exprs[i]->children) ExploreGroup(c);
       TryJoinCommute(gid, i);
       TryJoinAssociativity(gid, i);
       TryEagerAggregation(gid, i, /*left_side=*/true);
@@ -751,10 +812,10 @@ class MemoOptimizer {
   }
 
   bool AlreadyApplied(int gid, size_t i, TransformIndex tx) {
-    return (groups_[gid].exprs[i].applied & (1u << tx)) != 0;
+    return (groups_[gid].exprs[i]->applied & (1u << tx)) != 0;
   }
   void MarkApplied(int gid, size_t i, TransformIndex tx) {
-    groups_[gid].exprs[i].applied |= (1u << tx);
+    groups_[gid].exprs[i]->applied |= (1u << tx);
   }
 
   void AddExprToGroup(int gid, MExpr&& expr) {
@@ -762,19 +823,22 @@ class MemoOptimizer {
     if (g.exprs.size() >= static_cast<size_t>(options_.max_exprs_per_group)) {
       return;
     }
-    if (!g.fingerprints.insert(expr.Fingerprint()).second) return;
-    g.exprs.push_back(std::move(expr));
+    expr.fingerprint = expr.Fingerprint();
+    for (const MExpr* e : g.exprs) {
+      if (e->fingerprint == expr.fingerprint) return;
+    }
+    g.exprs.push_back(&exprs_.Append(std::move(expr)));
   }
 
   void TryJoinCommute(int gid, size_t i) {
     // Structural guards run before the rule-bit probe so the bit is only
     // consulted when the rule could actually fire (keeps the cross-config
     // memo footprint tight on join-free jobs).
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+    if (groups_[gid].exprs[i]->kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kJoinCommute)) return;
     if (AlreadyApplied(gid, i, kTxJoinCommute)) return;
     MarkApplied(gid, i, kTxJoinCommute);
-    const MExpr& e = groups_[gid].exprs[i];
+    const MExpr& e = *groups_[gid].exprs[i];
     MExpr swapped = e;
     std::swap(swapped.children[0], swapped.children[1]);
     std::swap(swapped.left_key, swapped.right_key);
@@ -789,11 +853,11 @@ class MemoOptimizer {
   }
 
   void TryJoinAssociativity(int gid, size_t i) {
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+    if (groups_[gid].exprs[i]->kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kJoinAssociativity)) return;
     if (AlreadyApplied(gid, i, kTxJoinAssoc)) return;
     MarkApplied(gid, i, kTxJoinAssoc);
-    const MExpr& e = groups_[gid].exprs[i];  // (A join B) join C
+    const MExpr& e = *groups_[gid].exprs[i];  // (A join B) join C
     int left_gid = e.children[0];
     for (const MExpr* j2p : CollectPatternExprs(left_gid,
                                                 LogicalOpKind::kJoin)) {
@@ -845,13 +909,13 @@ class MemoOptimizer {
                          : rules::kEagerAggregationRight;
     TransformIndex tx = left_side ? kTxEagerAggLeft : kTxEagerAggRight;
     {
-      const MExpr& probe = groups_[gid].exprs[i];
+      const MExpr& probe = *groups_[gid].exprs[i];
       if (probe.kind != LogicalOpKind::kAggregate || probe.partial_agg) return;
     }
     if (!config_.IsEnabled(rule)) return;
     if (AlreadyApplied(gid, i, tx)) return;
     MarkApplied(gid, i, tx);
-    const MExpr& e = groups_[gid].exprs[i];
+    const MExpr& e = *groups_[gid].exprs[i];
     std::vector<Symbol> e_group_syms = e.GroupBySymsResolved();
     int child_gid = e.children[0];
     for (const MExpr* joinp : CollectPatternExprs(child_gid,
@@ -925,11 +989,11 @@ class MemoOptimizer {
   }
 
   void TryJoinThroughUnion(int gid, size_t i) {
-    if (groups_[gid].exprs[i].kind != LogicalOpKind::kJoin) return;
+    if (groups_[gid].exprs[i]->kind != LogicalOpKind::kJoin) return;
     if (!config_.IsEnabled(rules::kPushJoinThroughUnion)) return;
     if (AlreadyApplied(gid, i, kTxJoinThroughUnion)) return;
     MarkApplied(gid, i, kTxJoinThroughUnion);
-    const MExpr& e = groups_[gid].exprs[i];
+    const MExpr& e = *groups_[gid].exprs[i];
     int left_gid = e.children[0];
     for (const MExpr* up : CollectPatternExprs(left_gid,
                                                LogicalOpKind::kUnionAll)) {
@@ -978,17 +1042,17 @@ class MemoOptimizer {
   /// Expressions of `kind` in group `gid`, looking through one level of
   /// pure pruning projects (which rules 46/47 insert below joins and
   /// aggregates and would otherwise hide the patterns). Returns pointers
-  /// into the expr deques — stable across MakeGroup/AddExprToGroup, so
+  /// into the expr arena — stable across MakeGroup/AddExprToGroup, so
   /// callers match patterns without copying whole MExprs.
   std::vector<const MExpr*> CollectPatternExprs(int gid,
                                                 LogicalOpKind kind) const {
     std::vector<const MExpr*> out;
-    for (const MExpr& e : groups_[gid].exprs) {
-      if (e.kind == kind) {
-        out.push_back(&e);
-      } else if (IsPureProject(e)) {
-        for (const MExpr& b : groups_[e.children[0]].exprs) {
-          if (b.kind == kind) out.push_back(&b);
+    for (const MExpr* e : groups_[gid].exprs) {
+      if (e->kind == kind) {
+        out.push_back(e);
+      } else if (IsPureProject(*e)) {
+        for (const MExpr* b : groups_[e->children[0]].exprs) {
+          if (b->kind == kind) out.push_back(b);
         }
       }
     }
@@ -997,12 +1061,20 @@ class MemoOptimizer {
 
   // ----- Implementation -----------------------------------------------------
 
+  Winner* FindWinner(int gid, uint64_t key) {
+    for (auto& [k, w] : groups_[gid].winners) {
+      if (k == key) return &w;
+    }
+    return nullptr;
+  }
+
   Winner OptimizeGroup(int gid, const PhysProp& required, int depth) {
-    uint64_t key = required.HashValue();
-    auto found = groups_[gid].winners.find(key);
-    if (found != groups_[gid].winners.end()) return found->second;
+    const uint64_t key = required.HashValue();
+    if (const Winner* found = FindWinner(gid, key)) return *found;
     // Insert an infeasible placeholder to stop runaway recursion.
-    groups_[gid].winners[key] = Winner{};
+    std::vector<std::pair<uint64_t, Winner>>& winners = groups_[gid].winners;
+    if (winners.empty()) winners.reserve(4);  // a group sees a few keys
+    winners.emplace_back(key, Winner{});
     if (depth > 64) return Winner{};
 
     ExploreGroup(gid);
@@ -1010,18 +1082,20 @@ class MemoOptimizer {
     Winner best;
     const size_t n_exprs = groups_[gid].exprs.size();
     for (size_t i = 0; i < n_exprs; ++i) {
-      // By reference: the deque arenas keep exprs pinned while recursive
-      // OptimizeGroup calls grow groups_ underneath this loop.
-      ImplementExpr(gid, groups_[gid].exprs[i], required, depth, &best);
+      // By reference: the arenas keep groups and exprs pinned while
+      // recursive OptimizeGroup calls grow groups_ underneath this loop.
+      ImplementExpr(gid, *groups_[gid].exprs[i], required, depth, &best);
     }
     // Enforcer: satisfy the requirement by exchanging the Any-winner.
     if (required.kind != PhysProp::Kind::kAny) {
       Winner any = OptimizeGroup(gid, PhysProp::Any(), depth + 1);
       if (any.feasible) {
-        AddEnforcer(gid, any, required, &best);
+        AddEnforcer(any, required, &best);
       }
     }
-    groups_[gid].winners[key] = best;
+    // Look the slot up again: recursion appended other keys' placeholders,
+    // possibly reallocating this group's winners.
+    *FindWinner(gid, key) = best;
     return best;
   }
 
@@ -1030,8 +1104,11 @@ class MemoOptimizer {
     if (!best->feasible || candidate.cost < best->cost) *best = candidate;
   }
 
-  /// Creates a physical node for `expr` in group `gid`, annotating sizes.
-  int MakePhysNode(PhysOpKind kind, const MExpr& expr, int gid,
+  /// Creates a candidate physical node for `expr`, annotating sizes and
+  /// cost. The payload (paths, predicates, projections, keys) is not copied
+  /// here: most candidates lose, so Compact copies it from `expr` for the
+  /// nodes of the final plan only (and likewise an exchange's key).
+  int MakePhysNode(PhysOpKind kind, const MExpr& expr,
                    std::vector<int> phys_children, double est_rows,
                    double true_rows, int partitions,
                    const std::shared_ptr<const Schema>& schema) {
@@ -1039,40 +1116,34 @@ class MemoOptimizer {
     node.kind = kind;
     node.children = std::move(phys_children);
     node.schema = schema;  // group-shared: refcount bump, no column copy
-    node.table_path = expr.table_path;
-    node.predicates = expr.predicates;
-    node.projections = expr.projections;
-    node.group_by = expr.group_by;
-    node.left_key = expr.left_key;
-    node.right_key = expr.right_key;
-    node.true_fanout = expr.true_fanout;
-    node.output_path = expr.output_path;
     node.est_rows = est_rows;
     const double row_width = schema->RowWidthBytes();
     node.est_bytes = est_rows * row_width;
     node.true_rows = true_rows;
     node.true_bytes = true_rows * row_width;
     node.partitions = partitions;
-    std::vector<double> child_rows, child_bytes;
-    child_rows.reserve(node.children.size());
-    child_bytes.reserve(node.children.size());
-    for (int c : node.children) {
-      child_rows.push_back(scratch_.node(c).est_rows);
-      child_bytes.push_back(scratch_.node(c).est_bytes);
+    std::array<double, 2> child_rows{}, child_bytes{};  // at most 2 inputs
+    const size_t n = node.children.size();
+    assert(n <= child_rows.size());
+    for (size_t i = 0; i < n; ++i) {
+      child_rows[i] = scratch_.node(node.children[i]).est_rows;
+      child_bytes[i] = scratch_.node(node.children[i]).est_bytes;
     }
-    node.local_cost = cost_model_.LocalCost(node, child_rows, child_bytes);
-    (void)gid;
+    node.local_cost =
+        cost_model_.LocalCost(node, std::span(child_rows.data(), n),
+                              std::span(child_bytes.data(), n));
+    payload_.push_back({&expr, nullptr});
     return scratch_.AddNode(std::move(node));
   }
 
   /// Wraps `input` with an exchange that delivers `prop`.
   /// Returns -1 when the needed exchange rule is disabled.
-  int MakeExchange(int input_phys, const PhysProp& prop, int gid,
+  int MakeExchange(int input_phys, const PhysProp& prop,
                    BitVector256* rules_used) {
     const PhysicalNode& child = scratch_.node(input_phys);
     PhysOpKind kind;
     int partitions;
-    std::string key;
+    const std::string* key = nullptr;
     switch (prop.kind) {
       case PhysProp::Kind::kHash:
         if (!config_.IsEnabled(rules::kExchangeShuffleImpl)) return -1;
@@ -1100,26 +1171,25 @@ class MemoOptimizer {
     node.kind = kind;
     node.children = {input_phys};
     node.schema = child.schema;
-    node.exchange_key = key;
     node.est_rows = child.est_rows;
     node.est_bytes = child.est_bytes;
     node.true_rows = child.true_rows;
     node.true_bytes = child.true_bytes;
     node.partitions = partitions;
-    node.local_cost = cost_model_.LocalCost(node, {child.est_rows},
-                                            {child.est_bytes});
-    (void)gid;
+    node.local_cost =
+        cost_model_.LocalCost(node, std::span(&child.est_rows, 1),
+                              std::span(&child.est_bytes, 1));
+    payload_.push_back({nullptr, key});
     return scratch_.AddNode(std::move(node));
   }
 
-  void AddEnforcer(int gid, const Winner& any, const PhysProp& required,
-                   Winner* best) {
+  void AddEnforcer(const Winner& any, const PhysProp& required, Winner* best) {
     if (required.SatisfiedBy(any.delivered)) {
       ConsiderCandidate(any, best);
       return;
     }
     Winner w = any;
-    int ex = MakeExchange(any.phys, required, gid, &w.rules);
+    int ex = MakeExchange(any.phys, required, &w.rules);
     if (ex < 0) return;
     w.phys = ex;
     w.cost = any.cost + scratch_.node(ex).local_cost;
@@ -1151,7 +1221,7 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = ChoosePartitions(table_bytes);
-        w.phys = MakePhysNode(PhysOpKind::kScan, expr, gid, {}, est_rows,
+        w.phys = MakePhysNode(PhysOpKind::kScan, expr, {}, est_rows,
                               tru_rows, parts, schema);
         w.cost = scratch_.node(w.phys).local_cost;
         w.delivered = PhysProp::Random();
@@ -1185,7 +1255,7 @@ class MemoOptimizer {
           if (source == nullptr || source->column.empty()) {
             child_req = PhysProp::Any();  // fall back to enforcer above
           } else {
-            child_req.key = source->column;
+            child_req.key = &source->column;
             child_req.key_sym = scope::ColumnSymOf(*source);
           }
         }
@@ -1201,7 +1271,7 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(kind, expr, gid, {child.phys}, est_rows,
+        w.phys = MakePhysNode(kind, expr, {child.phys}, est_rows,
                               tru_rows, parts, schema);
         w.cost = child.cost + scratch_.node(w.phys).local_cost;
         w.delivered = child.delivered;
@@ -1229,7 +1299,7 @@ class MemoOptimizer {
         int parts = scratch_.node(l.phys).partitions +
                     scratch_.node(r.phys).partitions;
         parts = std::min(parts, 256);
-        w.phys = MakePhysNode(PhysOpKind::kUnionAll, expr, gid,
+        w.phys = MakePhysNode(PhysOpKind::kUnionAll, expr,
                               {l.phys, r.phys}, est_rows, tru_rows, parts,
                               schema);
         w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
@@ -1247,7 +1317,7 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kOutput, expr, gid, {child.phys},
+        w.phys = MakePhysNode(PhysOpKind::kOutput, expr, {child.phys},
                               est_rows, tru_rows, parts, schema);
         w.cost = child.cost + scratch_.node(w.phys).local_cost;
         w.delivered = child.delivered;
@@ -1285,7 +1355,7 @@ class MemoOptimizer {
       w.feasible = true;
       int parts = std::max(scratch_.node(l.phys).partitions,
                            scratch_.node(r.phys).partitions);
-      w.phys = MakePhysNode(kind, expr, gid, {l.phys, r.phys}, est_rows,
+      w.phys = MakePhysNode(kind, expr, {l.phys, r.phys}, est_rows,
                             tru_rows, parts, schema);
       w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
       w.delivered = delivered;
@@ -1313,7 +1383,7 @@ class MemoOptimizer {
           if (r.feasible && required.SatisfiedBy(l.delivered)) {
             Winner w;
             w.feasible = true;
-            w.phys = MakePhysNode(PhysOpKind::kBroadcastJoin, expr, gid,
+            w.phys = MakePhysNode(PhysOpKind::kBroadcastJoin, expr,
                                   {l.phys, r.phys}, est_rows, tru_rows,
                                   consumers, schema);
             w.cost = l.cost + r.cost + scratch_.node(w.phys).local_cost;
@@ -1351,7 +1421,7 @@ class MemoOptimizer {
       Winner w;
       w.feasible = true;
       int parts = scratch_.node(child.phys).partitions;
-      w.phys = MakePhysNode(PhysOpKind::kPartialHashAgg, expr, gid,
+      w.phys = MakePhysNode(PhysOpKind::kPartialHashAgg, expr,
                             {child.phys}, est_rows, tru_rows, parts, schema);
       w.cost = child.cost + scratch_.node(w.phys).local_cost;
       w.delivered = child.delivered;
@@ -1380,7 +1450,7 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kHashAgg, expr, gid, {child.phys},
+        w.phys = MakePhysNode(PhysOpKind::kHashAgg, expr, {child.phys},
                               est_rows, tru_rows, parts, schema);
         w.cost = child.cost + scratch_.node(w.phys).local_cost;
         w.delivered = delivered;
@@ -1398,7 +1468,7 @@ class MemoOptimizer {
         Winner w;
         w.feasible = true;
         int parts = scratch_.node(child.phys).partitions;
-        w.phys = MakePhysNode(PhysOpKind::kStreamAgg, expr, gid, {child.phys},
+        w.phys = MakePhysNode(PhysOpKind::kStreamAgg, expr, {child.phys},
                               est_rows, tru_rows, parts, schema);
         w.cost = child.cost + scratch_.node(w.phys).local_cost;
         w.delivered = delivered;
@@ -1418,22 +1488,22 @@ class MemoOptimizer {
       if (!child.feasible) return;
       int child_parts = scratch_.node(child.phys).partitions;
       std::vector<Symbol> group_syms = expr.GroupBySymsResolved();
-      RelStats partial_est = est_.PartialAggregate(
+      const double partial_est_rows = est_.PartialAggregateRows(
           groups_[expr.children[0]].est, group_syms, child_parts);
-      RelStats partial_tru = tru_.PartialAggregate(
+      const double partial_tru_rows = tru_.PartialAggregateRows(
           groups_[expr.children[0]].tru, group_syms, child_parts);
       BitVector256 rules_used = child.rules | expr.derivation;
       rules_used.Set(rules::kTwoPhaseAggregation);
       rules_used.Set(rules::kHashAggImpl);
-      int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, expr, gid,
-                                 {child.phys}, partial_est.rows,
-                                 partial_tru.rows, child_parts, schema);
+      int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, expr,
+                                 {child.phys}, partial_est_rows,
+                                 partial_tru_rows, child_parts, schema);
       PhysProp move_prop = global ? PhysProp::Singleton()
                                   : PhysProp::Hash(expr.group_by[0], key_sym);
-      int exchange = MakeExchange(partial, move_prop, gid, &rules_used);
+      int exchange = MakeExchange(partial, move_prop, &rules_used);
       if (exchange < 0) return;
       int final_parts = scratch_.node(exchange).partitions;
-      int final_agg = MakePhysNode(PhysOpKind::kHashAgg, expr, gid,
+      int final_agg = MakePhysNode(PhysOpKind::kHashAgg, expr,
                                    {exchange}, est_rows, tru_rows, final_parts,
                                    schema);
       Winner w;
@@ -1453,25 +1523,56 @@ class MemoOptimizer {
   /// Copies the reachable subgraph into `out`, returning the total estimated
   /// cost of the final plan.
   double Compact(const std::vector<int>& root_phys, PhysicalPlan* out) {
-    std::unordered_map<int, int> remap;
+    // Scratch id -> plan id; kUnvisited / kReached until copied.
+    std::vector<int> remap(scratch_.size(), kUnvisited);
+    size_t reachable = 0;
+    for (int r : root_phys) reachable += MarkReachable(r, &remap);
+    out->nodes.reserve(reachable);
+    out->roots.reserve(root_phys.size());
     double total = 0.0;
-    std::function<int(int)> copy = [&](int id) -> int {
-      auto it = remap.find(id);
-      if (it != remap.end()) return it->second;
-      // Steal, don't copy: remap guarantees one visit per scratch node, and
-      // the scratch arena dies with this MemoOptimizer.
-      PhysicalNode node = std::move(scratch_.node(id));
-      std::vector<int> new_children;
-      new_children.reserve(node.children.size());
-      for (int c : node.children) new_children.push_back(copy(c));
-      node.children = std::move(new_children);
-      total += node.local_cost;
-      int nid = out->AddNode(std::move(node));
-      remap[id] = nid;
-      return nid;
-    };
-    for (int r : root_phys) out->roots.push_back(copy(r));
+    for (int r : root_phys) {
+      out->roots.push_back(CopyReachable(r, &remap, out, &total));
+    }
     return total;
+  }
+
+  static constexpr int kUnvisited = -1;
+  static constexpr int kReached = -2;
+
+  size_t MarkReachable(int id, std::vector<int>* remap) const {
+    if ((*remap)[id] != kUnvisited) return 0;
+    (*remap)[id] = kReached;
+    size_t n = 1;
+    for (int c : scratch_.node(id).children) n += MarkReachable(c, remap);
+    return n;
+  }
+
+  /// Moves scratch node `id` and its inputs into `out` (children first),
+  /// filling in the payload from the MExpr each implements.
+  int CopyReachable(int id, std::vector<int>* remap, PhysicalPlan* out,
+                    double* total) {
+    if ((*remap)[id] >= 0) return (*remap)[id];
+    // Steal, don't copy: remap guarantees one visit per scratch node, and
+    // the scratch arena dies with this MemoOptimizer.
+    PhysicalNode node = std::move(scratch_.node(id));
+    for (int& c : node.children) c = CopyReachable(c, remap, out, total);
+    const Payload& payload = payload_[id];
+    if (const MExpr* src = payload.expr) {
+      node.table_path = src->table_path;
+      node.predicates = src->predicates;
+      node.projections = src->projections;
+      node.group_by = src->group_by;
+      node.left_key = src->left_key;
+      node.right_key = src->right_key;
+      node.true_fanout = src->true_fanout;
+      node.output_path = src->output_path;
+    } else if (payload.exchange_key != nullptr) {
+      node.exchange_key = *payload.exchange_key;
+    }
+    *total += node.local_cost;
+    const int nid = out->AddNode(std::move(node));
+    (*remap)[id] = nid;
+    return nid;
   }
 
   const scope::Catalog& catalog_;
@@ -1480,12 +1581,24 @@ class MemoOptimizer {
   StatsDeriver est_;
   StatsDeriver tru_;
   CostModel cost_model_;
-  /// deque: MakeGroup during exploration never moves existing groups, so
-  /// Group/Schema references held across recursive OptimizeGroup calls stay
-  /// valid (a growing vector would invalidate them mid-implementation).
-  std::deque<Group> groups_;
+  /// Arenas: MakeGroup during exploration never moves existing groups or
+  /// exprs, so Group/Schema/MExpr references held across recursive
+  /// OptimizeGroup calls stay valid (a growing vector would invalidate them
+  /// mid-implementation).
+  StableArena<Group, 16> groups_;
+  StableArena<MExpr, 16> exprs_;
+  /// Every candidate the search costs; Compact moves the winners out.
   PhysicalPlan scratch_;
-  std::unordered_map<Symbol, Schema> scan_schema_;
+  /// Where Compact finds each scratch node's payload: the MExpr it
+  /// implements, or, for an exchange, its key (null when it has none).
+  struct Payload {
+    const MExpr* expr;
+    const std::string* exchange_key;
+  };
+  std::vector<Payload> payload_;
+  /// Full extracted schema per scanned table, pointing into the normalized
+  /// plan, which outlives the search. A job scans a few tables.
+  std::vector<std::pair<Symbol, const Schema*>> scan_schema_;
 };
 
 }  // namespace

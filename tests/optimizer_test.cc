@@ -214,9 +214,11 @@ TEST(CostModelTest, BroadcastCostGrowsWithConsumers) {
   node.est_rows = 1000;
   node.est_bytes = 1.0e6;
   node.partitions = 10;
-  double c10 = model.LocalCost(node, {1000}, {1.0e6});
+  const double rows[] = {1000};
+  const double bytes[] = {1.0e6};
+  double c10 = model.LocalCost(node, rows, bytes);
   node.partitions = 100;
-  double c100 = model.LocalCost(node, {1000}, {1.0e6});
+  double c100 = model.LocalCost(node, rows, bytes);
   EXPECT_GT(c100, c10 * 5);
 }
 
@@ -226,8 +228,8 @@ TEST(CostModelTest, MergeJoinIncludesSortCost) {
   hash.kind = PhysOpKind::kHashJoin;
   merge.kind = PhysOpKind::kMergeJoin;
   hash.partitions = merge.partitions = 4;
-  std::vector<double> rows = {1.0e7, 1.0e7};
-  std::vector<double> bytes = {1.0e9, 1.0e9};
+  const double rows[] = {1.0e7, 1.0e7};
+  const double bytes[] = {1.0e9, 1.0e9};
   EXPECT_GT(model.LocalCost(merge, rows, bytes),
             model.LocalCost(hash, rows, bytes));
 }
