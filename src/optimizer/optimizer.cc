@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>

@@ -88,9 +88,9 @@ struct PhysicalPlan {
   std::vector<PhysicalNode> nodes;
   std::vector<int> roots;
 
-  /// Takes the node by rvalue: PhysicalNode is string/vector-heavy and
-  /// AddNode runs once per candidate the search ever considers, so the
-  /// by-value extra move was measurable.
+  /// Takes the node by rvalue, so adding it moves it once. The optimizer
+  /// adds every candidate it costs to a scratch plan, without payload, and
+  /// moves only the final plan's nodes into the plan it returns.
   int AddNode(PhysicalNode&& node) {
     node.id = static_cast<int>(nodes.size());
     nodes.push_back(std::move(node));
