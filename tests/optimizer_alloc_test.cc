@@ -31,6 +31,7 @@ void* CountedAlloc(size_t n) {
 
 }  // namespace
 
+// Every form, so a sanitizer runtime's own versions never take over one.
 void* operator new(size_t n) { return CountedAlloc(n); }
 void* operator new[](size_t n) { return CountedAlloc(n); }
 void* operator new(size_t n, const std::nothrow_t&) noexcept {
