@@ -23,13 +23,9 @@ int main() {
   std::printf("%4s %8s %16s %18s\n", "day", "events", "logged avg reward",
               "policy IPS estimate");
   for (int day = 0; day < 8; ++day) {
-    telemetry::WorkloadView view = env.BuildDayView(day);
-    telemetry::WorkloadView recurring;
-    recurring.day = day;
-    for (auto& row : view.rows) {
-      if (row.recurring) recurring.rows.push_back(row);
-    }
-    auto features = advisor::GenerateFeatures(env.engine(), recurring);
+    auto features = advisor::GenerateFeatures(
+        env.engine(), env.BuildDayView(day), nullptr, nullptr,
+        advisor::JobFilter::kRecurringOnly);
     recommender.RecommendDay(features, day);
     personalizer.Retrain();
     auto eval = personalizer.EvaluateOffline();

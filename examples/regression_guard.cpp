@@ -28,13 +28,9 @@ int main() {
                                   .min_training_samples = 20});
   Rng rng(17);
   auto process_day = [&](int day, bool train) {
-    telemetry::WorkloadView view = env.BuildDayView(day);
-    telemetry::WorkloadView recurring;
-    recurring.day = day;
-    for (auto& row : view.rows) {
-      if (row.recurring) recurring.rows.push_back(row);
-    }
-    auto features = advisor::GenerateFeatures(engine, recurring);
+    auto features = advisor::GenerateFeatures(
+        engine, env.BuildDayView(day), nullptr, nullptr,
+        advisor::JobFilter::kRecurringOnly);
     int accepted = 0, rejected = 0, would_regress = 0, caught = 0;
     for (const auto& f : features) {
       for (int bit : f.span.Positions()) {

@@ -123,8 +123,9 @@ std::vector<std::shared_ptr<const SparseVector>> CombineActionSet(
 /// Thread-safety: Rank/Reward/Retrain mutate the event log, the learning
 /// state and a shared Rng, and a retrain between two Rank calls changes
 /// every later choice — so the runtime never fans these out. The parallel
-/// recommendation path pre-evaluates recompilations concurrently and keeps
-/// all Personalizer traffic on the committing thread, in submission order.
+/// recommendation path prepares jobs (features, recompilations)
+/// concurrently and keeps all Personalizer traffic on the committing
+/// thread, in submission order.
 /// The one exception is a TrainTicket's model: BeginTrain hands it out, and
 /// its owner may train it on any thread while other calls proceed, then
 /// returns it through FinishTrain.

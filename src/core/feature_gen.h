@@ -44,14 +44,23 @@ struct FeatureGenStats {
   size_t emitted = 0;
 };
 
-/// Runs feature generation over a day's view. With a runtime attached, the
+/// Which of the view's rows feature generation considers.
+enum class JobFilter {
+  kAll,
+  /// Recurring jobs only: the pipeline's setting (Sec. 2.1).
+  kRecurringOnly,
+};
+
+/// Runs feature generation over the day's view rows that pass `filter`
+/// (`stats->input_jobs` counts those rows). With a runtime attached, the
 /// span computations (the pipeline's hottest recompilation loop) fan out
 /// across the pool sharded by template id; results commit in row order, so
 /// output and stats are byte-identical to the serial path.
 std::vector<JobFeatures> GenerateFeatures(
     const engine::ScopeEngine& engine, const telemetry::WorkloadView& view,
     FeatureGenStats* stats = nullptr,
-    runtime::ParallelRuntime* runtime = nullptr);
+    runtime::ParallelRuntime* runtime = nullptr,
+    JobFilter filter = JobFilter::kAll);
 
 }  // namespace qo::advisor
 

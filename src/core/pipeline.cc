@@ -146,14 +146,11 @@ Result<PipelineDayReport> QoAdvisorPipeline::RunDay(
   }
 
   // --- Feature Generation (recurring jobs only, Sec. 2.1). ---
-  telemetry::WorkloadView filtered;
-  filtered.day = view.day;
-  for (const auto& row : arrived->rows) {
-    if (!config_.recurring_only || row.recurring) filtered.rows.push_back(row);
-  }
   std::vector<JobFeatures> features = [&] {
     QO_OBS_SPAN("feature_gen");
-    return GenerateFeatures(*engine_, filtered, &report.feature_gen, runtime_);
+    return GenerateFeatures(*engine_, *arrived, &report.feature_gen, runtime_,
+                            config_.recurring_only ? JobFilter::kRecurringOnly
+                                                   : JobFilter::kAll);
   }();
 
   // --- Recommendation (CB + recompilation + pruning). ---

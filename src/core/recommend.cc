@@ -1,7 +1,6 @@
 #include "core/recommend.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/hash.h"
 #include "obs/span.h"
@@ -11,16 +10,10 @@ namespace qo::advisor {
 
 namespace {
 
-/// Action ids: index 0 is the no-op, index i>0 flips span bit i-1.
-int RuleIdOfAction(const std::vector<int>& span_bits, size_t action_index) {
-  if (action_index == 0) return -1;
-  return span_bits[action_index - 1];
-}
-
 /// The flip-specific outcome of one recompilation — everything EvaluateFlip
-/// derives beyond the job's identity fields. The parallel pre-evaluation
-/// caches these slim records instead of full Recommendations (which copy
-/// the job instance and its catalog per span bit).
+/// derives beyond the job's identity fields. The bandit loop works on these
+/// slim records and builds a full Recommendation (which copies the job
+/// instance and its catalog) only for a forwarded pick.
 struct FlipEval {
   bool enable = false;
   double est_cost_new = 0.0;
@@ -28,6 +21,13 @@ struct FlipEval {
   double reward = 1.0;
   bool fault_injected = false;
 };
+
+/// The no-op action's outcome: no recompilation, identity cost.
+FlipEval NoopEval(double est_cost_default) {
+  FlipEval noop;
+  noop.est_cost_new = est_cost_default;
+  return noop;
+}
 
 /// The default-configuration estimated cost of a job. JobFeatures built by
 /// GenerateFeatures always carry the span's default compilation; features
@@ -46,13 +46,12 @@ double DefaultEstCost(const engine::ScopeEngine& engine,
 
 FlipEval EvaluateFlipCore(const engine::ScopeEngine& engine,
                           double reward_clip, const JobFeatures& job,
-                          int rule_id,
+                          double est_cost_default, int rule_id,
                           const guard::FaultInjector* injector) {
   FlipEval e;
-  double est_cost_default = DefaultEstCost(engine, job);
   e.enable = !opt::RuleConfig::Default().IsEnabled(rule_id);
-  // Injected recompile errors: pure per (job, rule), so the parallel
-  // pre-evaluation cache and any inline evaluation reach the same verdict.
+  // Injected recompile errors: pure per (job, rule), so a worker's
+  // evaluation and an inline one reach the same verdict.
   if (injector != nullptr && injector->armed() &&
       injector->ShouldInject(
           guard::FaultSite::kCompile, job.row.day,
@@ -64,8 +63,8 @@ FlipEval EvaluateFlipCore(const engine::ScopeEngine& engine,
     e.fault_injected = true;
     return e;
   }
-  // CompileShared: a repeated evaluation of this flip (across pre-evaluation,
-  // the bandit loop and later experiment passes) is an O(1) cache hit.
+  // CompileShared: a repeated evaluation of this flip (across probes, the
+  // acting arm and later experiment passes) is an O(1) cache hit.
   auto recompiled = engine.CompileShared(
       job.row.instance, opt::RuleConfig::DefaultWithFlip(rule_id));
   if (!recompiled.ok()) {
@@ -92,7 +91,7 @@ FlipEval EvaluateFlipCore(const engine::ScopeEngine& engine,
 }
 
 /// Rebuilds the full Recommendation from the job's identity fields plus a
-/// (possibly cached) flip evaluation.
+/// flip evaluation.
 Recommendation MaterializeFlip(const JobFeatures& job, int rule_id,
                                const FlipEval& e, double est_cost_default) {
   Recommendation rec;
@@ -111,6 +110,38 @@ Recommendation MaterializeFlip(const JobFeatures& job, int rule_id,
   return rec;
 }
 
+/// Builds the (1 + S) action list for a job span, given its set bits.
+/// Action 0 is the no-op; action i > 0 flips span bit i - 1.
+std::vector<bandit::RankableAction> BuildActions(
+    const std::vector<int>& span_bits) {
+  std::vector<bandit::RankableAction> actions;
+  actions.reserve(span_bits.size() + 1);
+  bandit::RankableAction noop;
+  noop.action_id = "noop";
+  noop.features = bandit::BuildActionFeatures(-1, /*is_noop=*/true);
+  actions.push_back(std::move(noop));
+  for (int bit : span_bits) {
+    bandit::RankableAction a;
+    a.action_id = "flip_" + std::to_string(bit);
+    a.features = bandit::BuildActionFeatures(bit, /*is_noop=*/false);
+    actions.push_back(std::move(a));
+  }
+  return actions;
+}
+
+/// Everything pure the bandit loop needs for one job, built by
+/// RecommendDay's work function (on a worker when the runtime is parallel).
+struct JobPrep {
+  /// Context, actions and the shared (context x action) combined vectors,
+  /// laid out as one Rank request that every probe and the acting arm reuse.
+  bandit::RankRequest request;
+  std::vector<int> span_bits;
+  double est_cost_default = 0.0;
+  /// flips[k] evaluates span_bits[k]. Empty on a serial run, which compiles
+  /// a flip only when a probe or the acting arm picks it.
+  std::vector<FlipEval> flips;
+};
+
 }  // namespace
 
 Recommender::Recommender(const engine::ScopeEngine* engine,
@@ -122,138 +153,106 @@ Recommender::Recommender(const engine::ScopeEngine* engine,
       config_(config),
       injector_(injector) {}
 
-std::vector<bandit::RankableAction> Recommender::BuildActions(
-    const BitVector256& span) {
-  std::vector<bandit::RankableAction> actions;
-  bandit::RankableAction noop;
-  noop.action_id = "noop";
-  noop.features = bandit::BuildActionFeatures(-1, /*is_noop=*/true);
-  actions.push_back(std::move(noop));
-  for (int bit : span.Positions()) {
-    bandit::RankableAction a;
-    a.action_id = "flip_" + std::to_string(bit);
-    a.features = bandit::BuildActionFeatures(bit, /*is_noop=*/false);
-    actions.push_back(std::move(a));
-  }
-  return actions;
-}
-
 Recommendation Recommender::EvaluateFlip(const JobFeatures& job,
                                          int rule_id) const {
   double est_cost_default = DefaultEstCost(*engine_, job);
   if (rule_id < 0) {
-    // No-op action: no recompilation, identity outcome.
-    FlipEval noop;
-    noop.est_cost_new = est_cost_default;
-    return MaterializeFlip(job, rule_id, noop, est_cost_default);
+    return MaterializeFlip(job, rule_id, NoopEval(est_cost_default),
+                           est_cost_default);
   }
-  return MaterializeFlip(
-      job, rule_id,
-      EvaluateFlipCore(*engine_, config_.reward_clip, job, rule_id, injector_),
-      est_cost_default);
+  return MaterializeFlip(job, rule_id,
+                         EvaluateFlipCore(*engine_, config_.reward_clip, job,
+                                          est_cost_default, rule_id,
+                                          injector_),
+                         est_cost_default);
 }
 
 std::vector<Recommendation> Recommender::RecommendDay(
     const std::vector<JobFeatures>& jobs, int day, RecommenderStats* stats,
     runtime::ParallelRuntime* runtime) {
   QO_OBS_SPAN("recommend");
-  // Recompilation is the expensive half of this task; the bandit math is
-  // cheap but stateful (Rank/Reward mutate the Personalizer, and a retrain
-  // between two jobs changes every later choice). So: pre-evaluate every
-  // span flip across the pool, keep the bandit loop serial, and serve its
-  // EvaluateFlip calls from the cache.
-  std::vector<std::map<int, FlipEval>> flip_cache;
-  if (runtime != nullptr && runtime->parallel()) {
-    flip_cache = runtime->TransformOrdered<std::map<int, FlipEval>>(
-        jobs.size(),
-        [&](size_t i) { return static_cast<uint64_t>(jobs[i].row.template_id); },
-        [](size_t i) { return static_cast<double>(i); },
-        [&](size_t i) {
-          std::map<int, FlipEval> flips;
-          for (int bit : jobs[i].span.Positions()) {
-            flips.emplace(bit, EvaluateFlipCore(*engine_, config_.reward_clip,
-                                                jobs[i], bit, injector_));
-          }
-          return flips;
-        });
-  }
-  auto evaluate = [&](size_t job_index, const JobFeatures& job,
-                      int rule) -> Recommendation {
-    if (rule >= 0 && !flip_cache.empty()) {
-      auto it = flip_cache[job_index].find(rule);
-      if (it != flip_cache[job_index].end()) {
-        return MaterializeFlip(job, rule, it->second,
-                               DefaultEstCost(*engine_, job));
+  // Recompilation and featurization are pure; the bandit math is cheap but
+  // stateful (Rank/Reward mutate the Personalizer, and a retrain between
+  // two jobs changes every later choice). So the work function prepares a
+  // job off the calling thread and the commit runs its bandit loop in job
+  // order. Commits stream: job i's Rank/Reward calls overlap the workers'
+  // preparation of later jobs.
+  const bool evaluate_all_flips = runtime != nullptr && runtime->parallel();
+  auto prepare = [&](size_t i) {
+    const JobFeatures& job = jobs[i];
+    JobPrep prep;
+    prep.span_bits = job.span.Positions();
+    prep.est_cost_default = DefaultEstCost(*engine_, job);
+    prep.request.context = bandit::BuildContextFeatures(job.ToContext());
+    prep.request.actions = BuildActions(prep.span_bits);
+    // Combined-feature cache: one (context x actions) combine per job,
+    // shared (by pointer) across every probe and the acting arm, and from
+    // there with the Personalizer's event log and trainer.
+    prep.request.precombined =
+        bandit::CombineActionSet(prep.request.context, prep.request.actions);
+    if (evaluate_all_flips) {
+      prep.flips.reserve(prep.span_bits.size());
+      for (int bit : prep.span_bits) {
+        prep.flips.push_back(EvaluateFlipCore(*engine_, config_.reward_clip,
+                                              job, prep.est_cost_default, bit,
+                                              injector_));
       }
     }
-    return EvaluateFlip(job, rule);
+    return prep;
   };
 
   RecommenderStats local;
   std::vector<Recommendation> forwarded;
-  for (size_t job_index = 0; job_index < jobs.size(); ++job_index) {
+  auto commit = [&](size_t job_index, JobPrep&& prep) {
     const JobFeatures& job = jobs[job_index];
     ++local.jobs;
-    bandit::FeatureVector context =
-        bandit::BuildContextFeatures(job.ToContext());
-    std::vector<bandit::RankableAction> actions = BuildActions(job.span);
-    // Combined-feature cache: one (context x actions) combine per job,
-    // shared (by pointer) across every probe and the acting arm below, and
-    // from there with the Personalizer's event log and trainer.
-    std::vector<std::shared_ptr<const bandit::SparseVector>> combined =
-        bandit::CombineActionSet(context, actions);
-    std::vector<int> span_bits = job.span.Positions();
+    // The outcome of action `index` (see BuildActions).
+    auto flip_of = [&](size_t index) -> FlipEval {
+      if (index == 0) return NoopEval(prep.est_cost_default);
+      if (!prep.flips.empty()) return prep.flips[index - 1];
+      return EvaluateFlipCore(*engine_, config_.reward_clip, job,
+                              prep.est_cost_default,
+                              prep.span_bits[index - 1], injector_);
+    };
+    bandit::RankRequest& request = prep.request;
 
     // --- Logging arm: uniform-at-random, always rewarded. ---
+    request.explore_uniform = true;
     for (int probe_idx = 0; probe_idx < config_.uniform_probes_per_job;
          ++probe_idx) {
-      bandit::RankRequest log_request;
-      log_request.event_id = "u_" + std::to_string(day) + "_" +
-                             std::to_string(probe_idx) + "_" + job.row.job_id;
-      log_request.context = context;
-      log_request.actions = actions;
-      log_request.explore_uniform = true;
-      log_request.precombined = combined;
-      auto log_rank = personalizer_->Rank(log_request);
-      if (log_rank.ok()) {
-        int rule = RuleIdOfAction(span_bits, log_rank->chosen_index);
-        Recommendation probe = evaluate(job_index, job, rule);
-        if (probe.fault_injected) ++local.faults_injected;
-        // Injected reward-join drops: the probe ran but its outcome never
-        // made it back to the learner (paper Sec. 4.2's reward join going
-        // stale). The event stays unrewarded in the log.
-        if (injector_ != nullptr && injector_->armed() &&
-            injector_->ShouldInject(guard::FaultSite::kRewardJoin, day,
-                                    log_rank->event_id)) {
-          ++local.rewards_dropped;
-        } else if (!personalizer_->Reward(log_rank->event, probe.reward)
-                        .ok()) {
-          // Typed join: the id rode back on the RankResponse, so the reward
-          // lands with one log index — no string hashing.
-          ++local.reward_failures;
-        }
+      request.event_id = "u_" + std::to_string(day) + "_" +
+                         std::to_string(probe_idx) + "_" + job.row.job_id;
+      auto log_rank = personalizer_->Rank(request);
+      if (!log_rank.ok()) continue;
+      FlipEval probe = flip_of(log_rank->chosen_index);
+      if (probe.fault_injected) ++local.faults_injected;
+      // Injected reward-join drops: the probe ran but its outcome never
+      // made it back to the learner (paper Sec. 4.2's reward join going
+      // stale). The event stays unrewarded in the log.
+      if (injector_ != nullptr && injector_->armed() &&
+          injector_->ShouldInject(guard::FaultSite::kRewardJoin, day,
+                                  log_rank->event_id)) {
+        ++local.rewards_dropped;
+      } else if (!personalizer_->Reward(log_rank->event, probe.reward).ok()) {
+        // Typed join: the id rode back on the RankResponse, so the reward
+        // lands with one log index — no string hashing.
+        ++local.reward_failures;
       }
     }
 
     // --- Acting arm: learned policy (or uniform for the random baseline). ---
-    bandit::RankRequest act_request;
-    act_request.event_id =
-        "g_" + std::to_string(day) + "_" + job.row.job_id;
-    act_request.context = std::move(context);
-    act_request.actions = std::move(actions);
-    act_request.explore_uniform = !config_.use_contextual_bandit;
-    act_request.precombined = std::move(combined);
-    auto act_rank = personalizer_->Rank(act_request);
-    if (!act_rank.ok()) continue;
-    int rule = RuleIdOfAction(span_bits, act_rank->chosen_index);
-    if (rule < 0) {
+    request.event_id = "g_" + std::to_string(day) + "_" + job.row.job_id;
+    request.explore_uniform = !config_.use_contextual_bandit;
+    auto act_rank = personalizer_->Rank(request);
+    if (!act_rank.ok()) return;
+    if (act_rank->chosen_index == 0) {
       ++local.noop_chosen;
       ++local.equal_cost;
-      continue;
+      return;
     }
-    Recommendation rec = evaluate(job_index, job, rule);
-    if (rec.fault_injected) ++local.faults_injected;
-    switch (rec.outcome) {
+    FlipEval act = flip_of(act_rank->chosen_index);
+    if (act.fault_injected) ++local.faults_injected;
+    switch (act.outcome) {
       case RecompileOutcome::kLowerCost:
         ++local.lower_cost;
         break;
@@ -269,19 +268,25 @@ std::vector<Recommendation> Recommender::RecommendDay(
     }
     // Short-circuit: only flips that improve estimated cost move forward
     // (Sec. 5.6), unless pruning is disabled for the Sec. 5.2 ablation.
-    double delta = rec.est_cost_default > 0.0
-                       ? rec.est_cost_new / rec.est_cost_default - 1.0
+    double delta = prep.est_cost_default > 0.0
+                       ? act.est_cost_new / prep.est_cost_default - 1.0
                        : 0.0;
-    bool pass = rec.outcome == RecompileOutcome::kLowerCost &&
+    bool pass = act.outcome == RecompileOutcome::kLowerCost &&
                 delta <= config_.max_est_cost_delta;
     if (!config_.prune_non_improving) {
-      pass = rec.outcome != RecompileOutcome::kRecompileFailure;
+      pass = act.outcome != RecompileOutcome::kRecompileFailure;
     }
     if (pass) {
       ++local.forwarded;
-      forwarded.push_back(std::move(rec));
+      forwarded.push_back(
+          MaterializeFlip(job, prep.span_bits[act_rank->chosen_index - 1],
+                          act, prep.est_cost_default));
     }
-  }
+  };
+  runtime::ForEachOrdered<JobPrep>(
+      runtime, jobs.size(),
+      [&](size_t i) { return static_cast<uint64_t>(jobs[i].row.template_id); },
+      [](size_t i) { return static_cast<double>(i); }, prepare, commit);
   if (stats != nullptr) *stats = local;
   return forwarded;
 }

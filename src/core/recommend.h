@@ -97,8 +97,8 @@ class Recommender {
  public:
   /// `injector` (not owned, may be null) injects deterministic recompile
   /// errors per (job, rule) and drops reward joins per event — the chaos
-  /// faults of the Recommendation boundary. Decisions are pure, so the
-  /// parallel flip pre-evaluation and the serial loop agree byte-for-byte.
+  /// faults of the Recommendation boundary. Decisions are pure, so a flip
+  /// evaluated on a worker and one evaluated inline agree byte-for-byte.
   Recommender(const engine::ScopeEngine* engine,
               bandit::PersonalizerService* personalizer,
               RecommenderConfig config = {},
@@ -107,18 +107,19 @@ class Recommender {
   /// Processes one day of featurized jobs. Returns recommendations that
   /// survived pruning (candidates for flighting).
   ///
-  /// With a runtime attached, every span flip is pre-evaluated in parallel
-  /// (sharded by template id) and the serial bandit loop below reads from
-  /// that cache instead of recompiling inline. EvaluateFlip is pure, so the
-  /// cached and lazily evaluated paths produce byte-identical
-  /// recommendations — the Personalizer's order-dependent learning state is
-  /// only ever touched from the calling thread.
-  ///
-  /// The (context x actions) combined feature vectors are built once per
-  /// job (CombineActionSet) and shared by every Rank call for that job —
-  /// all uniform probes plus the acting arm — via
-  /// RankRequest::precombined, so the Personalizer never recombines per
-  /// request.
+  /// One ordered fan-out over the jobs (runtime::ForEachOrdered, sharded by
+  /// template id). Its work function does a job's pure part: the context
+  /// features, the (1 + S) action list, the (context x actions) combined
+  /// vectors (CombineActionSet, built once and shared by every Rank call
+  /// for the job via RankRequest::precombined) and, when the runtime is
+  /// parallel, the recompilation of every span flip. Its commit runs the
+  /// job's bandit loop — uniform probes, the acting arm, pruning — on the
+  /// calling thread in job order, streaming: job i's commit overlaps the
+  /// workers' preparation of later jobs. The Personalizer's order-dependent
+  /// learning state is only ever touched from the calling thread, so the
+  /// output is byte-identical for any thread count. A serial run (null or
+  /// single-threaded runtime) compiles a flip only when a probe or the
+  /// acting arm picks it.
   std::vector<Recommendation> RecommendDay(
       const std::vector<JobFeatures>& jobs, int day,
       RecommenderStats* stats = nullptr,
@@ -130,10 +131,6 @@ class Recommender {
   Recommendation EvaluateFlip(const JobFeatures& job, int rule_id) const;
 
  private:
-  /// Builds the (1 + S) action list for a job span.
-  static std::vector<bandit::RankableAction> BuildActions(
-      const BitVector256& span);
-
   const engine::ScopeEngine* engine_;
   bandit::PersonalizerService* personalizer_;
   RecommenderConfig config_;

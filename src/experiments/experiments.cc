@@ -37,16 +37,11 @@ bool AbDeltas(const engine::ScopeEngine& engine,
 }
 
 /// Featurizes one day's recurring jobs (spans + default compilations).
-std::vector<JobFeatures> DayFeatures(const ExperimentEnv& env, int day,
-                                     bool recurring_only = true) {
-  telemetry::WorkloadView view = env.BuildDayView(day);
-  telemetry::WorkloadView filtered;
-  filtered.day = day;
-  for (auto& row : view.rows) {
-    if (!recurring_only || row.recurring) filtered.rows.push_back(row);
-  }
-  return advisor::GenerateFeatures(env.engine(), filtered, nullptr,
-                                   env.runtime());
+std::vector<JobFeatures> DayFeatures(
+    const ExperimentEnv& env, int day,
+    advisor::JobFilter filter = advisor::JobFilter::kRecurringOnly) {
+  return advisor::GenerateFeatures(env.engine(), env.BuildDayView(day),
+                                   nullptr, env.runtime(), filter);
 }
 
 runtime::RuntimeOptions HarnessRuntimeOptions(const ExperimentConfig& config) {
@@ -532,7 +527,8 @@ RandomVsCbResult RunRandomVsCb(const ExperimentEnv& env, int cb_train_days,
   personalizer.Retrain();
 
   Rng rng(env.config().seed ^ 0x7ab1e3);
-  std::vector<JobFeatures> features = DayFeatures(env, eval_day, false);
+  std::vector<JobFeatures> features =
+      DayFeatures(env, eval_day, advisor::JobFilter::kAll);
   telemetry::WorkloadView all_view = env.BuildDayView(eval_day);
   result.jobs_total = all_view.rows.size();
   result.jobs_with_span = features.size();

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -12,7 +13,10 @@
 
 #include "core/feature_gen.h"
 #include "core/pipeline.h"
+#include "core/recommend.h"
 #include "experiments/experiments.h"
+#include "guard/fault_injector.h"
+#include "obs/metrics.h"
 #include "runtime/budget_gate.h"
 #include "runtime/runtime.h"
 #include "runtime/work_queue.h"
@@ -355,6 +359,26 @@ TEST(FlightBatchParallelTest, BatchNeverOverspendsBudgetUnderContention) {
 // Feature generation determinism.
 // ---------------------------------------------------------------------------
 
+void ExpectFeaturesEqual(const std::vector<advisor::JobFeatures>& a,
+                         const std::vector<advisor::JobFeatures>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].row.job_id, b[i].row.job_id);
+    EXPECT_EQ(a[i].row.instance.script, b[i].row.instance.script);
+    EXPECT_EQ(a[i].span, b[i].span);
+    EXPECT_EQ(a[i].default_compilation->est_cost,
+              b[i].default_compilation->est_cost);
+  }
+}
+
+void ExpectFeatureStatsEqual(const advisor::FeatureGenStats& a,
+                             const advisor::FeatureGenStats& b) {
+  EXPECT_EQ(a.input_jobs, b.input_jobs);
+  EXPECT_EQ(a.empty_span_dropped, b.empty_span_dropped);
+  EXPECT_EQ(a.compile_failures, b.compile_failures);
+  EXPECT_EQ(a.emitted, b.emitted);
+}
+
 TEST(RuntimeDeterminismTest, GenerateFeaturesParallelMatchesSerial) {
   experiments::ExperimentEnv env(
       {.num_templates = 12, .jobs_per_day = 24, .seed = 5, .threads = 1});
@@ -367,16 +391,185 @@ TEST(RuntimeDeterminismTest, GenerateFeaturesParallelMatchesSerial) {
   auto parallel =
       advisor::GenerateFeatures(env.engine(), view, &parallel_stats, &rt);
 
-  EXPECT_EQ(serial_stats.input_jobs, parallel_stats.input_jobs);
-  EXPECT_EQ(serial_stats.empty_span_dropped, parallel_stats.empty_span_dropped);
-  EXPECT_EQ(serial_stats.compile_failures, parallel_stats.compile_failures);
-  EXPECT_EQ(serial_stats.emitted, parallel_stats.emitted);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].row.job_id, parallel[i].row.job_id);
-    EXPECT_EQ(serial[i].span, parallel[i].span);
-    EXPECT_EQ(serial[i].default_compilation->est_cost,
-              parallel[i].default_compilation->est_cost);
+  ExpectFeatureStatsEqual(serial_stats, parallel_stats);
+  ExpectFeaturesEqual(serial, parallel);
+}
+
+// The recurring filter inside GenerateFeatures must see exactly what
+// filtering the view up front would have handed it, serially and on a
+// pool; without the filter every row is an input.
+TEST(RuntimeDeterminismTest,
+     GenerateFeaturesRecurringFilterMatchesFilteredView) {
+  experiments::ExperimentEnv env(
+      {.num_templates = 12, .jobs_per_day = 24, .seed = 5, .threads = 1});
+  telemetry::WorkloadView view = env.BuildDayView(0);
+  telemetry::WorkloadView recurring;
+  recurring.day = view.day;
+  for (const auto& row : view.rows) {
+    if (row.recurring) recurring.rows.push_back(row);
+  }
+  // The filter must have something to drop for the comparison to mean
+  // anything.
+  ASSERT_LT(recurring.rows.size(), view.rows.size());
+  ASSERT_FALSE(recurring.rows.empty());
+
+  advisor::FeatureGenStats expected_stats;
+  auto expected =
+      advisor::GenerateFeatures(env.engine(), recurring, &expected_stats);
+  ParallelRuntime rt({.num_threads = 4});
+  for (ParallelRuntime* runtime : {static_cast<ParallelRuntime*>(nullptr),
+                                   &rt}) {
+    advisor::FeatureGenStats stats;
+    auto features =
+        advisor::GenerateFeatures(env.engine(), view, &stats, runtime,
+                                  advisor::JobFilter::kRecurringOnly);
+    EXPECT_EQ(stats.input_jobs, recurring.rows.size());
+    ExpectFeatureStatsEqual(stats, expected_stats);
+    ExpectFeaturesEqual(features, expected);
+
+    advisor::FeatureGenStats all_stats;
+    auto all = advisor::GenerateFeatures(env.engine(), view, &all_stats,
+                                         runtime, advisor::JobFilter::kAll);
+    EXPECT_EQ(all_stats.input_jobs, view.rows.size());
+    EXPECT_EQ(all_stats.empty_span_dropped + all_stats.compile_failures +
+                  all_stats.emitted,
+              view.rows.size());
+    EXPECT_GT(all_stats.emitted, stats.emitted);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Recommendation determinism: the streamed commit (bandit loop overlapping
+// the workers' feature building and flip compiles) against the serial path.
+// ---------------------------------------------------------------------------
+
+struct RecommendRun {
+  std::vector<std::vector<advisor::Recommendation>> forwarded;  ///< per day
+  std::vector<advisor::RecommenderStats> stats;                 ///< per day
+  size_t logged_events = 0;
+  size_t rewarded_events = 0;
+  double retrains = 0.0;
+  bandit::PersonalizerService::OfflineEvaluation offline;
+};
+
+RecommendRun RunRecommendDays(
+    const experiments::ExperimentEnv& env,
+    const std::vector<std::vector<advisor::JobFeatures>>& days, int threads,
+    const guard::FaultInjector* injector) {
+  // threads == 0: no runtime at all (the null-runtime serial path).
+  std::unique_ptr<ParallelRuntime> rt;
+  if (threads > 0) {
+    rt = std::make_unique<ParallelRuntime>(
+        RuntimeOptions{.num_threads = threads});
+  }
+  const double retrains_before =
+      obs::Registry::Get().Snapshot().SeriesValue("bandit.retrains");
+  bandit::PersonalizerService personalizer(
+      {.epsilon = 0.2, .seed = 41, .retrain_interval = 8});
+  advisor::RecommenderConfig config;
+  config.uniform_probes_per_job = 3;
+  advisor::Recommender recommender(&env.engine(), &personalizer, config,
+                                   injector);
+  RecommendRun run;
+  for (size_t day = 0; day < days.size(); ++day) {
+    advisor::RecommenderStats stats;
+    run.forwarded.push_back(recommender.RecommendDay(
+        days[day], static_cast<int>(day), &stats, rt.get()));
+    run.stats.push_back(stats);
+  }
+  run.logged_events = personalizer.logged_events();
+  run.rewarded_events = personalizer.rewarded_events();
+  run.retrains =
+      obs::Registry::Get().Snapshot().SeriesValue("bandit.retrains") -
+      retrains_before;
+  auto offline = personalizer.EvaluateOffline();
+  EXPECT_TRUE(offline.ok());
+  if (offline.ok()) run.offline = *offline;
+  return run;
+}
+
+void ExpectRecommendRunsEqual(const RecommendRun& a, const RecommendRun& b) {
+  ASSERT_EQ(a.forwarded.size(), b.forwarded.size());
+  for (size_t day = 0; day < a.forwarded.size(); ++day) {
+    const auto& fa = a.forwarded[day];
+    const auto& fb = b.forwarded[day];
+    ASSERT_EQ(fa.size(), fb.size()) << "day " << day;
+    for (size_t i = 0; i < fa.size(); ++i) {
+      EXPECT_EQ(fa[i].job_id, fb[i].job_id);
+      EXPECT_EQ(fa[i].template_name, fb[i].template_name);
+      EXPECT_EQ(fa[i].template_id, fb[i].template_id);
+      EXPECT_EQ(fa[i].rule_id, fb[i].rule_id);
+      EXPECT_EQ(fa[i].enable, fb[i].enable);
+      EXPECT_EQ(fa[i].est_cost_default, fb[i].est_cost_default);
+      EXPECT_EQ(fa[i].est_cost_new, fb[i].est_cost_new);
+      EXPECT_EQ(fa[i].outcome, fb[i].outcome);
+      EXPECT_EQ(fa[i].reward, fb[i].reward);
+      EXPECT_EQ(fa[i].fault_injected, fb[i].fault_injected);
+      EXPECT_EQ(fa[i].instance.job_id, fb[i].instance.job_id);
+      EXPECT_EQ(fa[i].instance.script, fb[i].instance.script);
+      EXPECT_EQ(fa[i].instance.run_seed, fb[i].instance.run_seed);
+      EXPECT_EQ(fa[i].span, fb[i].span);
+    }
+    const advisor::RecommenderStats& sa = a.stats[day];
+    const advisor::RecommenderStats& sb = b.stats[day];
+    EXPECT_EQ(sa.jobs, sb.jobs);
+    EXPECT_EQ(sa.lower_cost, sb.lower_cost);
+    EXPECT_EQ(sa.equal_cost, sb.equal_cost);
+    EXPECT_EQ(sa.higher_cost, sb.higher_cost);
+    EXPECT_EQ(sa.recompile_failures, sb.recompile_failures);
+    EXPECT_EQ(sa.noop_chosen, sb.noop_chosen);
+    EXPECT_EQ(sa.forwarded, sb.forwarded);
+    EXPECT_EQ(sa.reward_failures, sb.reward_failures);
+    EXPECT_EQ(sa.faults_injected, sb.faults_injected);
+    EXPECT_EQ(sa.rewards_dropped, sb.rewards_dropped);
+  }
+  EXPECT_EQ(a.logged_events, b.logged_events);
+  EXPECT_EQ(a.rewarded_events, b.rewarded_events);
+  EXPECT_EQ(a.retrains, b.retrains);
+  EXPECT_EQ(a.offline.events, b.offline.events);
+  EXPECT_EQ(a.offline.logged_average_reward, b.offline.logged_average_reward);
+  EXPECT_EQ(a.offline.policy_ips_estimate, b.offline.policy_ips_estimate);
+}
+
+TEST(RuntimeDeterminismTest, RecommendDayParallelMatchesSerial) {
+  experiments::ExperimentEnv env(
+      {.num_templates = 16, .jobs_per_day = 60, .seed = 11, .threads = 1});
+  std::vector<std::vector<advisor::JobFeatures>> days;
+  for (int day = 0; day < 2; ++day) {
+    days.push_back(advisor::GenerateFeatures(
+        env.engine(), env.BuildDayView(day), nullptr, nullptr,
+        advisor::JobFilter::kRecurringOnly));
+    ASSERT_GE(days.back().size(), 10u);
+  }
+  guard::FaultInjector chaos({.seed = 9,
+                              .compile_error_prob = 0.2,
+                              .reward_drop_prob = 0.2});
+  for (const guard::FaultInjector* injector :
+       {static_cast<const guard::FaultInjector*>(nullptr),
+        static_cast<const guard::FaultInjector*>(&chaos)}) {
+    SCOPED_TRACE(injector == nullptr ? "no faults" : "armed injector");
+    RecommendRun serial = RunRecommendDays(env, days, /*threads=*/0, injector);
+    // Three probes per job at an 8-event retrain interval: retrains land
+    // mid-day, so every later choice depends on the commit order.
+    EXPECT_GT(serial.retrains, 2.0 * static_cast<double>(days.size()));
+    size_t forwarded = 0;
+    size_t faults = 0;
+    size_t dropped = 0;
+    for (const auto& s : serial.stats) {
+      forwarded += s.forwarded;
+      faults += s.faults_injected;
+      dropped += s.rewards_dropped;
+    }
+    EXPECT_GT(forwarded, 0u);
+    if (injector != nullptr) {
+      EXPECT_GT(faults, 0u);
+      EXPECT_GT(dropped, 0u);
+    }
+    for (int threads : {2, 8}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ExpectRecommendRunsEqual(serial,
+                               RunRecommendDays(env, days, threads, injector));
+    }
   }
 }
 
