@@ -6,7 +6,8 @@
 
 Builds a Release qobench for <parent-ref> (from a `git worktree` under
 .bench_build/ab/, reused while it sits at the same commit) and one for the
-working tree, then runs `qobench --workload W --seed S --seconds X` for both
+working tree, each by the `build()` of that checkout's own
+bench/qobench/run.py, as the benchmark builds it; then runs `qobench --workload W --seed S --seconds X` for both
 in alternating order, `--pairs` times per seed (the first build to run
 alternates, so drift of the host hits both sides alike). Any run whose result
 line says `correct: false`, or that fails calls, stops the A/B with exit 1.
@@ -16,12 +17,19 @@ medians and quartiles, the median paired delta, the change's wins (pairs in
 which it was better), the parent's spread (Q3 - Q1) / median against the
 metric's bound, and a verdict:
 
-    unresolved  the parent's spread exceeds the bound: these runs cannot tell
+    unresolved  the parent's spread exceeds the bound and the two sides'
+                runs overlap: these runs cannot tell
     regress     the change's median is worse than the parent's by more than
                 the bound
     win         the change won at least 90% of the pairs and its median is
-                better by more than the parent's spread
+                better by more than the parent's spread, or the parent's
+                spread exceeds the bound but every change run reads better
+                than every parent run
     flat        anything else
+
+A metric whose parent spread exceeds its bound is still resolved when the
+sides do not overlap (every change run better, or every one worse, than every
+parent run); it is then judged by the regress and win rules above.
 
 With --trace it also runs one traced pair (`qobench --trace`) for the first
 seed and prints every per-layer row of both. The counts, the ratios and
@@ -31,6 +39,7 @@ and never writes it.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
@@ -50,15 +59,16 @@ def git(*args, cwd=ROOT):
                           capture_output=True, text=True).stdout.strip()
 
 
-def build_qobench(source, build_dir, jobs):
-    """Configures (once) and builds qobench from `source`; returns its path."""
-    if not os.path.exists(os.path.join(build_dir, "CMakeCache.txt")):
-        subprocess.run(["cmake", "-S", os.path.join(source, "bench", "qobench"),
-                        "-B", build_dir, "-DCMAKE_BUILD_TYPE=Release"],
-                       check=True, stdout=sys.stderr)
-    subprocess.run(["cmake", "--build", build_dir, "--target", "qobench",
-                    "-j", str(jobs)], check=True, stdout=sys.stderr)
-    return os.path.join(build_dir, "qobench")
+def build_qobench(source):
+    """Builds qobench with `source`'s own bench/qobench/run.py; its path."""
+    run_py = os.path.join(source, "bench", "qobench", "run.py")
+    spec = importlib.util.spec_from_file_location("qobench_run", run_py)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    binary = module.build()
+    if binary is None:
+        sys.exit("ab.py: building qobench from %s failed" % source)
+    return binary
 
 
 def parent_source(ref):
@@ -108,6 +118,13 @@ def better(metric, change, parent):
     return change > parent if metric["better"] == "higher" else change < parent
 
 
+def separated(metric, winner, loser):
+    """True when every run in `winner` reads better than every one in `loser`."""
+    if metric["better"] == "higher":
+        return min(winner) > max(loser)
+    return max(winner) < min(loser)
+
+
 def summarize(metric, parent, change):
     """One table row for a metric's paired samples."""
     bound = metric["bound"]
@@ -120,12 +137,14 @@ def summarize(metric, parent, change):
     gap = (c_med - p_med) / p_med if p_med else 0.0
     if metric["better"] == "lower":
         gap = -gap  # positive gap = the change is better
-    if spread > bound:
+    noisy = spread > bound
+    if noisy and not (separated(metric, change, parent) or
+                      separated(metric, parent, change)):
         verdict = "unresolved"
     elif gap < -bound:
         verdict = "regress"
-    elif wins >= 0.9 * len(parent) and gap > spread:
-        verdict = "win"
+    elif wins >= 0.9 * len(parent) and (gap > spread or noisy):
+        verdict = "win"  # noisy here means every change run was better
     else:
         verdict = "flat"
     return ("%-15s %12.4g [%10.4g %10.4g] %12.4g [%10.4g %10.4g] %+8.1f%% "
@@ -166,7 +185,6 @@ def main():
     parser.add_argument("--seconds", type=float, default=15)
     parser.add_argument("--trace", action="store_true",
                         help="add one traced pair and diff its per-layer rows")
-    parser.add_argument("--build-jobs", type=int, default=3)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if args.pairs < 1 or not seeds:
@@ -175,13 +193,7 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
     sha, source = parent_source(args.parent_ref)
-    binaries = {
-        "parent": build_qobench(source, os.path.join(AB_DIR, "build-" +
-                                                     sha[:12]),
-                                args.build_jobs),
-        "change": build_qobench(ROOT, os.path.join(AB_DIR, "build-work"),
-                                args.build_jobs),
-    }
+    binaries = {"parent": build_qobench(source), "change": build_qobench(ROOT)}
     print("parent %s vs working tree: %s, seconds %g, %d pairs per seed"
           % (sha[:12], args.workload, args.seconds, args.pairs))
 
