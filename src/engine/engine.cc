@@ -125,25 +125,24 @@ ScopeEngine::OptimizeWithMemo(const cache::CachedFrontEnd& fe,
     return std::shared_ptr<const opt::CompilationOutput>(std::move(shared));
   };
 
-  // Normalized-tier probe: reuse the validated + normalized plan and rerun
-  // only the cost-based search under this config.
+  // Normalized-tier probe: share the validated + normalized plan's memo
+  // seed and rerun only the cost-based search under this config.
   BitVector256 norm_consulted;
   BitVector256 post_consulted;
-  if (std::shared_ptr<const opt::NormalizedPlan> normalized =
-          memo.FindNorm(config.bits(), &norm_consulted)) {
+  opt::NormalizedPlan normalized;
+  if (memo.FindNorm(config.bits(), &normalized, &norm_consulted)) {
     QO_OBS_COUNT("optimizer.memo.norm_hits", 1);
     Result<opt::CompilationOutput> result =
-        optimizer.OptimizeFromNormalized(*normalized, config, &post_consulted);
+        optimizer.OptimizeFromNormalized(normalized, config, &post_consulted);
     return publish(std::move(result), norm_consulted | post_consulted);
   }
 
   // Miss: full pipeline, recording both footprints for future configs.
   QO_OBS_COUNT("optimizer.memo.misses", 1);
-  std::shared_ptr<const opt::NormalizedPlan> normalized;
   Result<opt::CompilationOutput> result = optimizer.OptimizeTracked(
       fe.plan, config, &norm_consulted, &post_consulted, &normalized);
-  if (normalized != nullptr) {
-    memo.InsertNorm(norm_consulted, config.bits(), normalized);
+  if (normalized.seed != nullptr) {
+    memo.InsertNorm(norm_consulted, config.bits(), std::move(normalized));
   }
   return publish(std::move(result), norm_consulted | post_consulted);
 }

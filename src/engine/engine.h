@@ -44,7 +44,7 @@ struct JobRunResult {
 /// Facade bundling the compiler, optimizer and cluster simulator.
 ///
 /// Telemetry: cross-config memo outcomes ("optimizer.memo.{full_hits,
-/// norm_hits,misses,full_dropped}"), profile-slot lookups
+/// norm_hits,misses,full_dropped,norm_dropped}"), profile-slot lookups
 /// ("exec.profile_{hits,misses}") and freed evicted entries
 /// ("cache.front_end.{reclaimed,inline_frees}") are registry counters. The
 /// engine's collector exports its front-end cache ("cache.front_end.{hits,

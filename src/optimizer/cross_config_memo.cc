@@ -20,16 +20,18 @@ bool CrossConfigMemo::FindFull(
   return false;
 }
 
-std::shared_ptr<const NormalizedPlan> CrossConfigMemo::FindNorm(
-    const BitVector256& config, BitVector256* norm_consulted) const {
+bool CrossConfigMemo::FindNorm(const BitVector256& config,
+                               NormalizedPlan* plan,
+                               BitVector256* norm_consulted) const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const NormEntry& e : norm_) {
     if ((config & e.consulted) == e.values) {
       if (norm_consulted != nullptr) *norm_consulted = e.consulted;
-      return e.plan;
+      *plan = e.plan;
+      return true;
     }
   }
-  return nullptr;
+  return false;
 }
 
 void CrossConfigMemo::InsertFull(
@@ -56,12 +58,15 @@ void CrossConfigMemo::InsertFull(
 
 void CrossConfigMemo::InsertNorm(const BitVector256& consulted,
                                  const BitVector256& config,
-                                 std::shared_ptr<const NormalizedPlan> plan) {
+                                 NormalizedPlan plan) {
   BitVector256 values = config & consulted;
   std::lock_guard<std::mutex> lock(mu_);
-  if (norm_.size() >= kMaxNormEntries) return;
   for (const NormEntry& e : norm_) {
     if ((config & e.consulted) == e.values) return;
+  }
+  if (norm_.size() >= kMaxNormEntries) {
+    QO_OBS_COUNT("optimizer.memo.norm_dropped", 1);
+    return;
   }
   NormEntry e;
   e.consulted = consulted;

@@ -24,9 +24,12 @@
 //    deterministic compile error). Serves flips of rules this job never
 //    consults.
 //  - Normalized tier: footprint of validate+normalize only -> the normalized
-//    logical plan. Normalization consults only the rewrite-rule bits, so
-//    flips of exploration/implementation rules reuse the normalized plan and
-//    rerun just the cost-based search.
+//    plan, kept as the memo seed the cost-based search starts from (each
+//    group's base expression, shared schema and derived statistics; the
+//    normalized LogicalPlan is not kept). Normalization consults only the
+//    rewrite-rule bits, so flips of exploration/implementation rules share
+//    the seed read-only and rerun just the search, without rebuilding a
+//    group or re-deriving a statistic.
 //
 // Entries are compared by linear scan under a mutex: per job the number of
 // distinct footprints is tiny (one per consulted-bit combination actually
@@ -34,9 +37,10 @@
 // maintaining an index. Capacity is bounded by dropping new inserts when
 // full; since every entry is provably equal to a fresh compile, eviction
 // policy can change hit *counts* but never output bytes. A dropped full
-// entry means its configs re-run the optimizer on every compile, so drops
-// are counted ("optimizer.memo.full_dropped"). Tests check every memoized
-// compile against a direct optimizer run.
+// entry means its configs re-run the optimizer on every compile, and a
+// dropped normalized entry that they re-normalize, so drops are counted
+// ("optimizer.memo.full_dropped", "optimizer.memo.norm_dropped"). Tests
+// check every memoized compile against a direct optimizer run.
 #ifndef QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 #define QO_OPTIMIZER_CROSS_CONFIG_MEMO_H_
 
@@ -54,6 +58,12 @@ namespace qo::opt {
 /// entry (same lifetime as the logical plan it describes).
 class CrossConfigMemo {
  public:
+  // Bounds sized for one job's sweep: the span fix-point plus a 256-flip
+  // recommender pass produce well under 96 distinct full footprints, and
+  // normalization reads ~10 bits so its footprint count stays single-digit.
+  static constexpr size_t kMaxFullEntries = 96;
+  static constexpr size_t kMaxNormEntries = 16;
+
   /// Full-tier probe: if some stored compile's footprint agrees with
   /// `config`, stores its result into `status` / `output` and returns true.
   /// The output is shared, not copied — entries hold the same immutable
@@ -61,13 +71,14 @@ class CrossConfigMemo {
   bool FindFull(const BitVector256& config, Status* status,
                 std::shared_ptr<const CompilationOutput>* output) const;
 
-  /// Normalized-tier probe: returns the stored normalized plan whose
-  /// validate+normalize footprint agrees with `config`, or null. On a hit,
-  /// `norm_consulted` (if non-null) receives the matched entry's footprint —
-  /// callers union it with the post-search footprint to insert a full-tier
-  /// entry for the finished compile.
-  std::shared_ptr<const NormalizedPlan> FindNorm(
-      const BitVector256& config, BitVector256* norm_consulted) const;
+  /// Normalized-tier probe: if some stored normalized plan's
+  /// validate+normalize footprint agrees with `config`, stores it into
+  /// `plan` (sharing its seed) and returns true. On a hit, `norm_consulted`
+  /// (if non-null) receives the matched entry's footprint — callers union
+  /// it with the post-search footprint to insert a full-tier entry for the
+  /// finished compile.
+  bool FindNorm(const BitVector256& config, NormalizedPlan* plan,
+                BitVector256* norm_consulted) const;
 
   /// Records a full compile: `consulted` is every bit the compile read,
   /// `config` the configuration it ran under, `output` the shared immutable
@@ -79,9 +90,11 @@ class CrossConfigMemo {
                   const Status& status,
                   std::shared_ptr<const CompilationOutput> output);
 
-  /// Records a validate+normalize result the same way.
+  /// Records a validate+normalize result the same way: a no-op when a
+  /// matching footprint is already stored or when at capacity (counted as
+  /// "optimizer.memo.norm_dropped"). Shares the plan's seed, never copies it.
   void InsertNorm(const BitVector256& consulted, const BitVector256& config,
-                  std::shared_ptr<const NormalizedPlan> plan);
+                  NormalizedPlan plan);
 
  private:
   struct FullEntry {
@@ -95,14 +108,8 @@ class CrossConfigMemo {
   struct NormEntry {
     BitVector256 consulted;
     BitVector256 values;
-    std::shared_ptr<const NormalizedPlan> plan;
+    NormalizedPlan plan;
   };
-
-  // Bounds sized for one job's sweep: the span fix-point plus a 256-flip
-  // recommender pass produce well under 96 distinct full footprints, and
-  // normalization reads ~10 bits so its footprint count stays single-digit.
-  static constexpr size_t kMaxFullEntries = 96;
-  static constexpr size_t kMaxNormEntries = 16;
 
   mutable std::mutex mu_;
   std::vector<FullEntry> full_;

@@ -490,7 +490,9 @@ struct MExpr {
   std::string output_path;
   bool partial_agg = false;  ///< local pre-aggregation (eager agg)
   BitVector256 derivation;   ///< transformation rules that produced this expr
-  uint32_t applied = 0;      ///< transformation-rule bitmask already tried
+  /// Row of the search's `applied` table: a seed expr's group id, or, for
+  /// an expr the search added, the seed's group count plus its arena index.
+  int id = -1;
   /// Fingerprint(), stored when the expr enters its group (children are
   /// group ids, so it never changes afterwards).
   uint64_t fingerprint = 0;
@@ -542,6 +544,31 @@ struct MExpr {
   }
 };
 
+/// What every alternative of a group shares, derived once when the group is
+/// made and never changed afterwards.
+struct GroupProps {
+  /// Output schema, shared (refcount bump, not column-vector copy) into
+  /// every PhysicalNode implemented from this group. Never null.
+  std::shared_ptr<const Schema> schema;
+  RelStats est;
+  RelStats tru;
+};
+
+}  // namespace
+
+struct MemoSeed {
+  /// Group g's only expression and its properties, inputs before
+  /// consumers, so g is also the expr's `id`.
+  struct BaseGroup {
+    MExpr expr;
+    GroupProps props;
+  };
+  std::vector<BaseGroup> groups;
+  std::vector<int> roots;  ///< group id of each output root
+};
+
+namespace {
+
 struct Winner {
   bool feasible = false;
   double cost = 1e300;
@@ -551,21 +578,23 @@ struct Winner {
 };
 
 struct Group {
-  /// The group's alternatives in insertion order, as pointers into the
-  /// search's expression arena. The arena never moves an expr, so the
-  /// search holds references across AddExprToGroup instead of deep-copying
-  /// every MExpr it touches.
-  std::vector<MExpr*> exprs;
-  /// Output schema, built once in MakeGroup and shared (refcount bump, not
-  /// column-vector copy) into every PhysicalNode implemented from this
-  /// group. Never null for a constructed group.
-  std::shared_ptr<const Schema> schema;
-  RelStats est;
-  RelStats tru;
+  /// The group's alternatives in insertion order: a seed group's base expr
+  /// first, then pointers into the search's expression arena. Neither ever
+  /// moves an expr, so the search holds references across AddExprToGroup
+  /// instead of deep-copying every MExpr it touches.
+  std::vector<const MExpr*> exprs;
+  /// A seed group's props, in the seed; null for a group the search made.
+  const GroupProps* seed_props = nullptr;
+  /// The props of a group the search made (empty for a seed group).
+  GroupProps derived;
   bool explored = false;
   /// Best plan per requested property, keyed by PhysProp::HashValue(). A
   /// group sees a handful of keys, so a flat vector beats a hash map.
   std::vector<std::pair<uint64_t, Winner>> winners;
+
+  const GroupProps& props() const {
+    return seed_props != nullptr ? *seed_props : derived;
+  }
 };
 
 /// Append-only storage for one search's groups and exprs. Elements never
@@ -593,7 +622,7 @@ class StableArena {
   size_t size_ = 0;
 };
 
-// Local indices for the `applied` bitmask.
+// Bit indices of an expr's row in the `applied` table.
 enum TransformIndex {
   kTxJoinCommute = 0,
   kTxJoinAssoc = 1,
@@ -619,49 +648,52 @@ class MemoOptimizer {
 
   /// Full compilation. Rule bits consulted while validating + normalizing
   /// are recorded into `norm_sink`, the rest into `post_sink` (either may
-  /// be null); on success `normalized_out` (if non-null) receives the
-  /// normalized plan for cross-config reuse.
-  Result<CompilationOutput> Run(
-      const LogicalPlan& input, BitVector256* norm_sink,
-      BitVector256* post_sink,
-      std::shared_ptr<const NormalizedPlan>* normalized_out) {
+  /// be null); once validation passes `normalized_out` (if non-null)
+  /// receives the normalized plan for cross-config reuse.
+  Result<CompilationOutput> Run(const LogicalPlan& input,
+                                BitVector256* norm_sink,
+                                BitVector256* post_sink,
+                                NormalizedPlan* normalized_out) {
     config_.TrackConsulted(norm_sink);
     QO_RETURN_IF_ERROR(config_.Validate());
-    auto norm = std::make_shared<NormalizedPlan>();
-    norm->plan = input;  // normalization mutates a copy
-    // Defensive for hand-built plans: no-op when the compiler interned.
-    scope::InternPlanSymbols(&norm->plan);
+    NormalizedPlan norm;
     {
-      Normalizer normalizer(&norm->plan, config_);
-      norm->fired = normalizer.Run();
+      LogicalPlan plan = input;  // normalization mutates a copy
+      // Defensive for hand-built plans: no-op when the compiler interned.
+      scope::InternPlanSymbols(&plan);
+      Normalizer normalizer(&plan, config_);
+      norm.fired = normalizer.Run();
+      norm.seed = BuildSeed(plan);
     }
-    std::shared_ptr<const NormalizedPlan> frozen = std::move(norm);
-    if (normalized_out != nullptr) *normalized_out = frozen;
-    return RunPostNormalize(*frozen, post_sink);
+    if (normalized_out != nullptr) *normalized_out = norm;
+    return RunPostNormalize(norm, post_sink);
   }
 
-  /// Cost-based search over an already validated + normalized plan.
+  /// Cost-based search starting from an already validated + normalized
+  /// plan's seed, which it only reads.
   Result<CompilationOutput> RunPostNormalize(const NormalizedPlan& norm,
                                              BitVector256* post_sink) {
     config_.TrackConsulted(post_sink);
-    RegisterScanSchemas(norm.plan);
+    const MemoSeed& seed = *norm.seed;
     // One up-front block for the candidate arena: typical searches stay
     // under this, so AddNode never reallocates.
     scratch_.nodes.reserve(128);
     payload_.reserve(128);
-
-    // Build memo groups from the normalized DAG.
-    std::vector<int> node_to_group(norm.plan.nodes.size(), -1);
-    std::vector<int> root_groups;
-    for (int r : norm.plan.roots) {
-      QO_ASSIGN_OR_RETURN(int g, BuildGroup(norm.plan, r, &node_to_group));
-      root_groups.push_back(g);
+    // The seed's groups open the memo under their own ids; exprs the
+    // exploration adds take the `applied` rows after them.
+    applied_.reserve(seed.groups.size() + kExploredExprsReserve);
+    applied_.assign(seed.groups.size(), 0);
+    for (const MemoSeed::BaseGroup& base : seed.groups) {
+      Group& group = groups_.Append(Group{});
+      group.exprs.push_back(&base.expr);
+      group.seed_props = &base.props;
     }
 
     // Optimize every output root.
     std::vector<int> root_phys;
+    root_phys.reserve(seed.roots.size());
     BitVector256 signature = norm.fired;
-    for (int g : root_groups) {
+    for (int g : seed.roots) {
       Winner w = OptimizeGroup(g, PhysProp::Any(), 0);
       if (!w.feasible) {
         return Status::CompileError(
@@ -685,9 +717,41 @@ class MemoOptimizer {
  private:
   // ----- Memo construction -------------------------------------------------
 
-  /// `node_to_group` maps normalized node ids to group ids (-1 = none yet).
-  Result<int> BuildGroup(const LogicalPlan& plan, int node_id,
-                         std::vector<int>* node_to_group) {
+  /// Builds the seed of the normalized `plan`: one group per node reachable
+  /// from the roots, in the order the search has always numbered them.
+  std::shared_ptr<const MemoSeed> BuildSeed(const LogicalPlan& plan) {
+    seed_plan_ = &plan;
+    auto seed = std::make_shared<MemoSeed>();
+    // Count the groups first: the seed is stored for as long as its memo
+    // entry lives, so its vector is sized exactly. Reached nodes read
+    // kReached until BuildGroup gives them a group.
+    std::vector<int> node_to_group(plan.nodes.size(), kUnvisited);
+    size_t reachable = 0;
+    for (int r : plan.roots) reachable += MarkReachable(plan, r, &node_to_group);
+    seed->groups.reserve(reachable);
+    seed->roots.reserve(plan.roots.size());
+    for (int r : plan.roots) {
+      seed->roots.push_back(BuildGroup(plan, r, &node_to_group, seed.get()));
+    }
+    seed_plan_ = nullptr;  // the seed outlives `plan`
+    return seed;
+  }
+
+  static size_t MarkReachable(const LogicalPlan& plan, int id,
+                              std::vector<int>* node_to_group) {
+    if ((*node_to_group)[id] != kUnvisited) return 0;
+    (*node_to_group)[id] = kReached;
+    size_t n = 1;
+    for (int c : plan.node(id).children) {
+      n += MarkReachable(plan, c, node_to_group);
+    }
+    return n;
+  }
+
+  /// Appends normalized node `node_id`'s group to `seed`, after its inputs'
+  /// groups; `node_to_group` maps node ids to group ids once built.
+  int BuildGroup(const LogicalPlan& plan, int node_id,
+                 std::vector<int>* node_to_group, MemoSeed* seed) {
     if ((*node_to_group)[node_id] >= 0) return (*node_to_group)[node_id];
     const LogicalNode& n = plan.node(node_id);
     MExpr expr;
@@ -706,29 +770,56 @@ class MemoOptimizer {
     expr.output_path = n.output_path;
     expr.children.reserve(n.children.size());
     for (int c : n.children) {
-      QO_ASSIGN_OR_RETURN(int g, BuildGroup(plan, c, node_to_group));
-      expr.children.push_back(g);
+      expr.children.push_back(BuildGroup(plan, c, node_to_group, seed));
     }
-    int gid = MakeGroup(std::move(expr), n.schema);
+    const int gid = static_cast<int>(seed->groups.size());
+    GroupProps props = DeriveProps(expr, n.schema, [&](int g) -> const auto& {
+      return seed->groups[g].props;
+    });
+    expr.id = gid;
+    expr.fingerprint = expr.Fingerprint();
+    seed->groups.push_back({std::move(expr), std::move(props)});
     (*node_to_group)[node_id] = gid;
     return gid;
   }
 
-  int MakeGroup(MExpr&& expr, Schema schema) {
+  /// Adds a group the exploration derived, holding `expr` alone, whose
+  /// `applied` row starts at `applied`.
+  int MakeGroup(MExpr&& expr, Schema schema, uint32_t applied) {
     Group group;
-    group.schema = std::make_shared<const Schema>(std::move(schema));
-    group.est = DeriveStats(expr, est_);
-    group.tru = DeriveStats(expr, tru_);
+    group.derived =
+        DeriveProps(expr, std::move(schema), [this](int g) -> const auto& {
+          return groups_[g].props();
+        });
     expr.fingerprint = expr.Fingerprint();
-    group.exprs.push_back(&exprs_.Append(std::move(expr)));
+    group.exprs.push_back(&AppendExpr(std::move(expr), applied));
     groups_.Append(std::move(group));
     return static_cast<int>(groups_.size()) - 1;
   }
 
-  RelStats DeriveStats(const MExpr& e, const StatsDeriver& deriver) const {
+  const MExpr& AppendExpr(MExpr&& expr, uint32_t applied) {
+    expr.id = static_cast<int>(applied_.size());
+    applied_.push_back(applied);
+    return exprs_.Append(std::move(expr));
+  }
+
+  /// `child_props(g)` returns group g's GroupProps.
+  template <typename ChildProps>
+  GroupProps DeriveProps(const MExpr& e, Schema schema,
+                         const ChildProps& child_props) const {
+    GroupProps props;
+    props.schema = std::make_shared<const Schema>(std::move(schema));
+    props.est = DeriveStats(e, est_, child_props);
+    props.tru = DeriveStats(e, tru_, child_props);
+    return props;
+  }
+
+  template <typename ChildProps>
+  RelStats DeriveStats(const MExpr& e, const StatsDeriver& deriver,
+                       const ChildProps& child_props) const {
     auto child = [&](size_t i) -> const RelStats& {
-      return deriver.mode() == StatsMode::kTrue ? groups_[e.children[i]].tru
-                                                : groups_[e.children[i]].est;
+      const GroupProps& p = child_props(e.children[i]);
+      return deriver.mode() == StatsMode::kTrue ? p.tru : p.est;
     };
     switch (e.kind) {
       case LogicalOpKind::kScan: {
@@ -762,34 +853,23 @@ class MemoOptimizer {
     return RelStats{};
   }
 
-  // Scans derive stats from their full extracted schema (before embedded
-  // predicates); the group schema already equals it.
+  // Scans derive stats from their table's full extracted schema (before
+  // embedded predicates): that of the table's last scan in the normalized
+  // plan, which still holds every original scan node (rewrites only
+  // append). Only seed groups are scans; no exploration derives one.
   const Schema& SchemaOfScan(const MExpr& e) const {
     static const Schema kUnknown;
     const Symbol table = SymOf(e.table_sym, e.table_path);
-    for (const auto& [sym, schema] : scan_schema_) {
-      if (sym == table) return *schema;
+    const std::vector<LogicalNode>& nodes = seed_plan_->nodes;
+    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
+      if (it->kind == LogicalOpKind::kScan &&
+          SymOf(it->table_sym, it->table_path) == table) {
+        return it->schema;
+      }
     }
     return kUnknown;
   }
 
-  /// Remembers scan schemas before BuildGroup runs (the last scan of a
-  /// table wins). The normalized arena still contains every original scan
-  /// node (rewrites only append), so registering from it is equivalent to
-  /// registering from the input plan.
-  void RegisterScanSchemas(const LogicalPlan& plan) {
-    for (const auto& n : plan.nodes) {
-      if (n.kind != LogicalOpKind::kScan) continue;
-      const Symbol table = SymOf(n.table_sym, n.table_path);
-      auto it = std::find_if(scan_schema_.begin(), scan_schema_.end(),
-                             [&](const auto& e) { return e.first == table; });
-      if (it != scan_schema_.end()) {
-        it->second = &n.schema;
-      } else {
-        scan_schema_.emplace_back(table, &n.schema);
-      }
-    }
-  }
   // ----- Exploration --------------------------------------------------------
 
   void ExploreGroup(int gid) {
@@ -812,14 +892,18 @@ class MemoOptimizer {
     }
   }
 
-  bool AlreadyApplied(int gid, size_t i, TransformIndex tx) {
-    return (groups_[gid].exprs[i]->applied & (1u << tx)) != 0;
+  bool AlreadyApplied(int gid, size_t i, TransformIndex tx) const {
+    return (applied_[groups_[gid].exprs[i]->id] & (1u << tx)) != 0;
   }
   void MarkApplied(int gid, size_t i, TransformIndex tx) {
-    groups_[gid].exprs[i]->applied |= (1u << tx);
+    applied_[groups_[gid].exprs[i]->id] |= (1u << tx);
   }
 
-  void AddExprToGroup(int gid, MExpr&& expr) {
+  /// Adds `expr` to group `gid` unless the group is full or already holds
+  /// it; a new expr's `applied` row starts at `applied`. A transform that
+  /// copies an existing expr passes that expr's current row (plus its own
+  /// bit), as copying the expr itself once did.
+  void AddExprToGroup(int gid, MExpr&& expr, uint32_t applied) {
     Group& g = groups_[gid];
     if (g.exprs.size() >= static_cast<size_t>(options_.max_exprs_per_group)) {
       return;
@@ -828,7 +912,7 @@ class MemoOptimizer {
     for (const MExpr* e : g.exprs) {
       if (e->fingerprint == expr.fingerprint) return;
     }
-    g.exprs.push_back(&exprs_.Append(std::move(expr)));
+    g.exprs.push_back(&AppendExpr(std::move(expr), applied));
   }
 
   void TryJoinCommute(int gid, size_t i) {
@@ -845,12 +929,13 @@ class MemoOptimizer {
     std::swap(swapped.left_key, swapped.right_key);
     std::swap(swapped.left_key_sym, swapped.right_key_sym);
     // Preserve ground-truth output rows: rows = L*f = R*f'.
-    double l_rows = groups_[e.children[0]].tru.rows;
-    double r_rows = std::max(1.0, groups_[e.children[1]].tru.rows);
+    double l_rows = groups_[e.children[0]].props().tru.rows;
+    double r_rows = std::max(1.0, groups_[e.children[1]].props().tru.rows);
     swapped.true_fanout = e.true_fanout * l_rows / r_rows;
-    swapped.applied |= (1u << kTxJoinCommute);  // avoid ping-pong
     swapped.derivation.Set(rules::kJoinCommute);
-    AddExprToGroup(gid, std::move(swapped));
+    // The commute bit avoids ping-pong.
+    AddExprToGroup(gid, std::move(swapped),
+                   applied_[e.id] | (1u << kTxJoinCommute));
   }
 
   void TryJoinAssociativity(int gid, size_t i) {
@@ -866,11 +951,11 @@ class MemoOptimizer {
       int a_gid = j2.children[0];
       int b_gid = j2.children[1];
       // The key joining to C must come from B.
-      if (!groups_[b_gid].schema->HasColumn(
+      if (!groups_[b_gid].props().schema->HasColumn(
               SymOf(e.left_key_sym, e.left_key))) {
         continue;
       }
-      if (!groups_[a_gid].schema->HasColumn(
+      if (!groups_[a_gid].props().schema->HasColumn(
               SymOf(j2.left_key_sym, j2.left_key))) {
         continue;
       }
@@ -885,9 +970,10 @@ class MemoOptimizer {
       inner.true_fanout = e.true_fanout;
       inner.derivation = e.derivation | j2.derivation;
       inner.derivation.Set(rules::kJoinAssociativity);
-      Schema inner_schema = ConcatSchemas(*groups_[b_gid].schema,
-                                          *groups_[e.children[1]].schema);
-      int inner_gid = MakeGroup(std::move(inner), std::move(inner_schema));
+      Schema inner_schema =
+          ConcatSchemas(*groups_[b_gid].props().schema,
+                        *groups_[e.children[1]].props().schema);
+      int inner_gid = MakeGroup(std::move(inner), std::move(inner_schema), 0);
       // outer = A join inner.
       MExpr outer;
       outer.kind = LogicalOpKind::kJoin;
@@ -899,8 +985,7 @@ class MemoOptimizer {
       outer.true_fanout = j2.true_fanout * e.true_fanout;
       outer.derivation = e.derivation | j2.derivation;
       outer.derivation.Set(rules::kJoinAssociativity);
-      outer.applied |= (1u << kTxJoinAssoc);
-      AddExprToGroup(gid, std::move(outer));
+      AddExprToGroup(gid, std::move(outer), 1u << kTxJoinAssoc);
       break;  // one reassociation per expr keeps the space bounded
     }
   }
@@ -923,7 +1008,7 @@ class MemoOptimizer {
                                                   LogicalOpKind::kJoin)) {
       const MExpr& join = *joinp;
       int side_gid = join.children[left_side ? 0 : 1];
-      const Schema& side_schema = *groups_[side_gid].schema;
+      const Schema& side_schema = *groups_[side_gid].props().schema;
       const std::string& join_key = left_side ? join.left_key : join.right_key;
       Symbol join_key_sym = left_side ? SymOf(join.left_key_sym, join.left_key)
                                       : SymOf(join.right_key_sym,
@@ -970,21 +1055,22 @@ class MemoOptimizer {
         }
         if (keep) partial_schema.columns.push_back(col);
       }
-      int partial_gid = MakeGroup(std::move(partial), std::move(partial_schema));
+      int partial_gid =
+          MakeGroup(std::move(partial), std::move(partial_schema), 0);
       // New join over the pre-aggregated side.
       MExpr new_join = join;
       new_join.children[left_side ? 0 : 1] = partial_gid;
       new_join.derivation.Set(rule);
       Schema join_schema = ConcatSchemas(
-          *groups_[new_join.children[0]].schema,
-          *groups_[new_join.children[1]].schema);
-      int join_gid = MakeGroup(std::move(new_join), std::move(join_schema));
+          *groups_[new_join.children[0]].props().schema,
+          *groups_[new_join.children[1]].props().schema);
+      int join_gid = MakeGroup(std::move(new_join), std::move(join_schema),
+                               applied_[join.id]);
       // Final aggregate in the original group.
       MExpr final_agg = e;
       final_agg.children = {join_gid};
-      final_agg.applied |= (1u << tx);
       final_agg.derivation.Set(rule);
-      AddExprToGroup(gid, std::move(final_agg));
+      AddExprToGroup(gid, std::move(final_agg), applied_[e.id] | (1u << tx));
       break;
     }
   }
@@ -1004,17 +1090,17 @@ class MemoOptimizer {
         MExpr nj = e;
         nj.children = {u.children[side], e.children[1]};
         nj.derivation.Set(rules::kPushJoinThroughUnion);
-        Schema s = ConcatSchemas(*groups_[u.children[side]].schema,
-                                 *groups_[e.children[1]].schema);
-        join_gids[side] = MakeGroup(std::move(nj), std::move(s));
+        Schema s = ConcatSchemas(*groups_[u.children[side]].props().schema,
+                                 *groups_[e.children[1]].props().schema);
+        join_gids[side] = MakeGroup(std::move(nj), std::move(s),
+                                    applied_[e.id]);
       }
       MExpr new_union;
       new_union.kind = LogicalOpKind::kUnionAll;
       new_union.children = {join_gids[0], join_gids[1]};
       new_union.derivation = e.derivation | u.derivation;
       new_union.derivation.Set(rules::kPushJoinThroughUnion);
-      new_union.applied |= (1u << kTxJoinThroughUnion);
-      AddExprToGroup(gid, std::move(new_union));
+      AddExprToGroup(gid, std::move(new_union), 1u << kTxJoinThroughUnion);
       break;
     }
   }
@@ -1203,7 +1289,7 @@ class MemoOptimizer {
 
   void ImplementExpr(int gid, const MExpr& expr, const PhysProp& required,
                      int depth, Winner* best) {
-    const Group& group = groups_[gid];
+    const GroupProps& group = groups_[gid].props();
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
     const std::shared_ptr<const Schema>& schema = group.schema;
@@ -1332,7 +1418,7 @@ class MemoOptimizer {
 
   void ImplementJoin(int gid, const MExpr& expr, const PhysProp& required,
                      int depth, Winner* best) {
-    const Group& group = groups_[gid];
+    const GroupProps& group = groups_[gid].props();
     const std::shared_ptr<const Schema>& schema = group.schema;
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
@@ -1373,7 +1459,7 @@ class MemoOptimizer {
           config_.IsEnabled(rules::kBroadcastJoinAggressive)
               ? options_.broadcast_threshold_aggressive_bytes
               : options_.broadcast_threshold_bytes;
-      const Group& right = groups_[expr.children[1]];
+      const GroupProps& right = groups_[expr.children[1]].props();
       double right_bytes = right.est.rows * right.schema->RowWidthBytes();
       if (right_bytes <= threshold) {
         Winner l = OptimizeGroup(expr.children[0], PhysProp::Any(), depth + 1);
@@ -1404,7 +1490,7 @@ class MemoOptimizer {
 
   void ImplementAggregate(int gid, const MExpr& expr, const PhysProp& required,
                           int depth, Winner* best) {
-    const Group& group = groups_[gid];
+    const GroupProps& group = groups_[gid].props();
     const std::shared_ptr<const Schema>& schema = group.schema;
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
@@ -1490,9 +1576,9 @@ class MemoOptimizer {
       int child_parts = scratch_.node(child.phys).partitions;
       std::vector<Symbol> group_syms = expr.GroupBySymsResolved();
       const double partial_est_rows = est_.PartialAggregateRows(
-          groups_[expr.children[0]].est, group_syms, child_parts);
+          groups_[expr.children[0]].props().est, group_syms, child_parts);
       const double partial_tru_rows = tru_.PartialAggregateRows(
-          groups_[expr.children[0]].tru, group_syms, child_parts);
+          groups_[expr.children[0]].props().tru, group_syms, child_parts);
       BitVector256 rules_used = child.rules | expr.derivation;
       rules_used.Set(rules::kTwoPhaseAggregation);
       rules_used.Set(rules::kHashAggImpl);
@@ -1585,9 +1671,16 @@ class MemoOptimizer {
   /// Arenas: MakeGroup during exploration never moves existing groups or
   /// exprs, so Group/Schema/MExpr references held across recursive
   /// OptimizeGroup calls stay valid (a growing vector would invalidate them
-  /// mid-implementation).
+  /// mid-implementation). A seed group's expr and props live in the seed;
+  /// the arenas hold only what this search derives.
   StableArena<Group, 16> groups_;
   StableArena<MExpr, 16> exprs_;
+  /// Transformation-rule bitmask already tried, per expr id. Per search,
+  /// so restarts share the seed's exprs read-only.
+  std::vector<uint32_t> applied_;
+  /// Room the `applied` table keeps for explored exprs beyond the seed's,
+  /// so a typical search never regrows it.
+  static constexpr size_t kExploredExprsReserve = 16;
   /// Every candidate the search costs; Compact moves the winners out.
   PhysicalPlan scratch_;
   /// Where Compact finds each scratch node's payload: the MExpr it
@@ -1597,9 +1690,8 @@ class MemoOptimizer {
     const std::string* exchange_key;
   };
   std::vector<Payload> payload_;
-  /// Full extracted schema per scanned table, pointing into the normalized
-  /// plan, which outlives the search. A job scans a few tables.
-  std::vector<std::pair<Symbol, const Schema*>> scan_schema_;
+  /// The normalized plan BuildSeed is reading (null otherwise).
+  const LogicalPlan* seed_plan_ = nullptr;
 };
 
 }  // namespace
@@ -1615,7 +1707,7 @@ Result<CompilationOutput> Optimizer::Optimize(const scope::LogicalPlan& plan,
 Result<CompilationOutput> Optimizer::OptimizeTracked(
     const scope::LogicalPlan& plan, const RuleConfig& config,
     BitVector256* norm_consulted, BitVector256* post_consulted,
-    std::shared_ptr<const NormalizedPlan>* normalized_out) const {
+    NormalizedPlan* normalized_out) const {
   MemoOptimizer memo(catalog_, options_, config);
   return memo.Run(plan, norm_consulted, post_consulted, normalized_out);
 }

@@ -7,7 +7,9 @@
 //   3. memo-based top-down exploration (join commute/associativity, eager
 //      aggregation, join-through-union) and implementation (hash/broadcast/
 //      merge joins, one/two-phase aggregation, exchange enforcers) under a
-//      per-group expression budget,
+//      per-group expression budget, starting from a MemoSeed: the groups of
+//      the normalized plan, built once and shared by every config that
+//      restarts from it,
 //   4. winner extraction into a PhysicalPlan plus the *rule signature* — the
 //      set of rules that directly contributed to the final plan (Sec. 2.1).
 //
@@ -42,12 +44,21 @@ struct OptimizerOptions {
   CostParams cost_params;
 };
 
-/// A validated + normalized logical plan, exported by OptimizeTracked so the
+/// The memo's starting point for one validated + normalized plan: a group
+/// per reachable plan node, each holding its one base expression and its
+/// derived properties (shared schema, estimated and true statistics), plus
+/// the root group ids. Built once by the compile that normalizes the plan
+/// and never modified afterwards, so any number of searches, on any number
+/// of threads, start from the same seed. Defined in optimizer.cc.
+struct MemoSeed;
+
+/// A validated + normalized plan, exported by OptimizeTracked so the
 /// cross-config memo can restart other configs after the rewrite phase.
-/// Opaque to callers; only meaningful back in OptimizeFromNormalized.
+/// The normalized logical plan itself is not kept: the seed is everything
+/// a restart reads. Copying a NormalizedPlan shares its seed.
 struct NormalizedPlan {
-  scope::LogicalPlan plan;
   BitVector256 fired;  ///< normalization rules that changed the plan
+  std::shared_ptr<const MemoSeed> seed;  ///< null until exported
 };
 
 /// Compiles logical plans into distributed physical plans under a given rule
@@ -67,19 +78,22 @@ class Optimizer {
   /// Optimize with cross-config memo instrumentation. Every rule bit the
   /// validate+normalize phase consults is recorded into `norm_consulted`,
   /// every bit the post-normalization search consults into `post_consulted`
-  /// (either may be null), and on success `normalized_out` (if non-null)
-  /// receives the normalized plan for reuse via OptimizeFromNormalized.
+  /// (either may be null), and once validation passes `normalized_out` (if
+  /// non-null) receives the normalized plan for reuse via
+  /// OptimizeFromNormalized.
   /// The compilation output is a pure function of (plan, catalog, options,
   /// values of the consulted bits), which is the memo's soundness argument.
   Result<CompilationOutput> OptimizeTracked(
       const scope::LogicalPlan& plan, const RuleConfig& config,
       BitVector256* norm_consulted, BitVector256* post_consulted,
-      std::shared_ptr<const NormalizedPlan>* normalized_out) const;
+      NormalizedPlan* normalized_out) const;
 
   /// Re-runs only the post-normalization search over a previously exported
   /// NormalizedPlan, recording consulted bits into `post_consulted` (may be
   /// null). Only valid for configs that agree with the exporting config on
-  /// every bit it consulted during validate+normalize.
+  /// every bit it consulted during validate+normalize. The search reads the
+  /// seed without copying it (no payload copies, no statistics derivation)
+  /// and never writes it, so concurrent restarts may share one plan.
   Result<CompilationOutput> OptimizeFromNormalized(
       const NormalizedPlan& normalized, const RuleConfig& config,
       BitVector256* post_consulted) const;

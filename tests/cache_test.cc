@@ -29,6 +29,7 @@
 #include "core/recommend.h"
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
+#include "optimizer/cross_config_memo.h"
 #include "reference_compile.h"
 #include "sis/sis.h"
 #include "workload/workload.h"
@@ -618,6 +619,41 @@ TEST(CompilationCacheTest, EvictedEntriesAreFreedByEngineDestruction) {
             evictions);
 }
 
+// A full normalized tier drops a new footprint and counts the drop, but a
+// footprint it already covers is redundant, not dropped, even at capacity.
+TEST(CrossConfigMemoTest, NormTierDropsAtCapacityAreCounted) {
+  // Footprint k consults rule k alone and stores it enabled, so no two of
+  // them cover each other.
+  auto bit = [](int k) {
+    BitVector256 b;
+    b.Set(k);
+    return b;
+  };
+  opt::CrossConfigMemo memo;
+  const double dropped = Series("optimizer.memo.norm_dropped");
+  opt::NormalizedPlan plan;
+  for (size_t k = 0; k < opt::CrossConfigMemo::kMaxNormEntries; ++k) {
+    plan.fired = bit(static_cast<int>(k));
+    memo.InsertNorm(bit(static_cast<int>(k)), bit(static_cast<int>(k)),
+                    plan);
+  }
+  EXPECT_EQ(Series("optimizer.memo.norm_dropped"), dropped);
+
+  const int extra = static_cast<int>(opt::CrossConfigMemo::kMaxNormEntries);
+  memo.InsertNorm(bit(extra), bit(extra), plan);
+  EXPECT_EQ(Series("optimizer.memo.norm_dropped"), dropped + 1);
+  opt::NormalizedPlan found;
+  EXPECT_FALSE(memo.FindNorm(bit(extra), &found, nullptr));
+
+  // Footprint 3 again, at capacity: a duplicate, so no drop is counted.
+  memo.InsertNorm(bit(3), bit(3), plan);
+  EXPECT_EQ(Series("optimizer.memo.norm_dropped"), dropped + 1);
+  BitVector256 consulted;
+  ASSERT_TRUE(memo.FindNorm(bit(3), &found, &consulted));
+  EXPECT_EQ(consulted, bit(3));
+  EXPECT_EQ(found.fired, bit(3));  // the first insert's plan, not the last
+}
+
 /// 8 threads compile `jobs` on `cached`, each job 4 times under rotating
 /// configs, and every result must equal its reference compile.
 void ExpectConcurrentCompilesMatchSerial(
@@ -787,6 +823,7 @@ TEST(CompilationCacheTest, MiniFig10CompileWorkIsPinned) {
   EXPECT_EQ(Series("optimizer.memo.norm_hits"), 475.0);
   EXPECT_EQ(out.front_end_misses, 336.0);
   EXPECT_EQ(Series("optimizer.memo.full_dropped"), 0.0);
+  EXPECT_EQ(Series("optimizer.memo.norm_dropped"), 0.0);
 }
 
 // The same run on a 32-entry cache, which evicts and re-parses. Where
@@ -808,6 +845,7 @@ TEST(CompilationCacheTest, MiniFig10WorkWithEvictionsIsPinned) {
   const std::map<std::string, double> pinned = {
       {"optimizer.memo.misses", 798},    {"optimizer.memo.norm_hits", 451},
       {"optimizer.memo.full_hits", 196}, {"optimizer.memo.full_dropped", 0},
+      {"optimizer.memo.norm_dropped", 0},
       {"exec.prepares", 362},            {"bandit.combines", 0},
       {"bandit.precombined_reused", 5384},
       {"flight.batches", 6},             {"flight.success", 23},

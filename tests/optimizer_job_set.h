@@ -51,6 +51,40 @@ inline workload::JobInstance JoinOverUnionJob() {
   return job;
 }
 
+/// A filter over a join whose predicates read the join's left input: the
+/// generated templates filter only before their joins, so this is the job
+/// on which the filter-into-join pushdown fires. Its predicates stay off the
+/// right input because the true-row model of a join scales its left input
+/// alone (rows = left rows x fanout), so a predicate pushed into the right
+/// input drops out of the true row count. Not part of PinnedJobs, whose
+/// digest and allocation counts it would move.
+inline workload::JobInstance FilterOverJoinJob() {
+  workload::JobInstance job;
+  job.template_name = "filter_over_join";
+  job.job_id = "filter_over_join_0";
+  job.script = R"(
+  f = EXTRACT k:long, v:double, c:string FROM "fact";
+  d = EXTRACT pk:long, attr:string FROM "dim";
+  j = SELECT * FROM f JOIN d ON k == pk @ 1.5
+      WHERE v > 100 @ 0.3 AND c == "x" @ 0.2;
+  OUTPUT j TO "out";
+)";
+  scope::TableStats fact;
+  fact.true_rows = fact.est_rows = 2e7;
+  fact.avg_row_bytes = 40;
+  fact.columns["k"] = {1e5, 1e5};
+  fact.columns["v"] = {1e6, 1e6};
+  fact.columns["c"] = {100, 100};
+  job.catalog.RegisterTable("fact", fact);
+  scope::TableStats dim;
+  dim.true_rows = dim.est_rows = 1e5;
+  dim.avg_row_bytes = 40;
+  dim.columns["pk"] = {1e5, 1e5};
+  dim.columns["attr"] = {50, 50};
+  job.catalog.RegisterTable("dim", dim);
+  return job;
+}
+
 /// Two days of a small generated workload plus JoinOverUnionJob; jobs that
 /// fail to compile in the front end are skipped (none do at this seed).
 inline std::vector<PinnedJob> PinnedJobs() {

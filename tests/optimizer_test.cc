@@ -3,8 +3,12 @@
 // all 256 single-rule flips.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/hash.h"
@@ -567,11 +571,11 @@ TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
   for (const PinnedJob& pj : jobs) {
     Optimizer optimizer(pj.job.catalog);
     BitVector256 norm_consulted;
-    std::shared_ptr<const NormalizedPlan> normalized;
+    NormalizedPlan normalized;
     auto base_out = optimizer.OptimizeTracked(pj.plan, base, &norm_consulted,
                                               nullptr, &normalized);
     ASSERT_TRUE(base_out.ok()) << pj.job.job_id << ": " << base_out.status();
-    ASSERT_NE(normalized, nullptr);
+    ASSERT_NE(normalized.seed, nullptr);
     for (const RuleConfig& config : configs) {
       auto full = optimizer.Optimize(pj.plan, config);
       digest = FoldResult(full, digest);
@@ -580,7 +584,7 @@ TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
       if (full.ok()) used_rules |= full->signature;
       if (!AgreesOn(config, base, norm_consulted)) continue;
       auto restarted =
-          optimizer.OptimizeFromNormalized(*normalized, config, nullptr);
+          optimizer.OptimizeFromNormalized(normalized, config, nullptr);
       // The restart must reproduce the full run (the memo's soundness).
       ASSERT_EQ(restarted.ok(), full.ok()) << pj.job.job_id;
       if (full.ok()) {
@@ -602,6 +606,136 @@ TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
     EXPECT_TRUE(used_rules.Test(rule)) << "rule " << rule;
   }
   EXPECT_EQ(digest, kPinnedDigest) << std::hex << "0x" << digest;
+}
+
+// ---------------------------------------------------------------------------
+// Semantic oracle, first rung: steering may change how a job runs, never
+// what it returns. Each OUTPUT root of a steered plan must carry Default's
+// ground-truth row count and schema. A root's true_rows is its memo group's
+// true statistics, which every alternative in the group shares, so this
+// rung checks the normalization rewrites (a predicate dropped or duplicated
+// while pushing it down moves the root's rows); it cannot see a wrong
+// memo exploration, whose alternatives never derive their own rows. The
+// pinned jobs never filter above a join, so FilterOverJoinJob rides along
+// for the filter-into-join pushdown (left input only: see its comment).
+// ---------------------------------------------------------------------------
+
+/// The rule ids on which `config` differs from Default, e.g. "41 44".
+std::string FlippedRules(const RuleConfig& config) {
+  const BitVector256 diff = config.bits() ^ RuleConfig::Default().bits();
+  std::string out;
+  for (int id = 0; id < BitVector256::kBits; ++id) {
+    if (!diff.Test(id)) continue;
+    if (!out.empty()) out += ' ';
+    out += std::to_string(id);
+  }
+  return out;
+}
+
+TEST(OptimizerSemanticOracleTest, SteeredRootsKeepDefaultRowsAndSchemas) {
+  std::vector<PinnedJob> jobs = PinnedJobs();
+  workload::JobInstance extra = FilterOverJoinJob();
+  auto extra_plan = scope::CompileSource(extra.script, extra.catalog);
+  ASSERT_TRUE(extra_plan.ok()) << extra_plan.status();
+  jobs.push_back({std::move(extra), std::move(extra_plan).value()});
+  const std::vector<RuleConfig> configs = PinnedConfigs();
+  size_t compared = 0;
+  double max_rel_err = 0.0;
+  for (const PinnedJob& pj : jobs) {
+    Optimizer optimizer(pj.job.catalog);
+    auto base = optimizer.Optimize(pj.plan, RuleConfig::Default());
+    ASSERT_TRUE(base.ok()) << pj.job.job_id << ": " << base.status();
+    const PhysicalPlan& want = base->plan;
+    for (const RuleConfig& config : configs) {
+      if (config.bits() == RuleConfig::Default().bits()) continue;  // unsteered
+      auto steered = optimizer.Optimize(pj.plan, config);
+      if (!steered.ok()) continue;  // a refused config returns nothing
+      const PhysicalPlan& got = steered->plan;
+      ASSERT_EQ(got.roots.size(), want.roots.size()) << pj.job.job_id;
+      for (size_t r = 0; r < want.roots.size(); ++r) {
+        const PhysicalNode& a = want.node(want.roots[r]);
+        const PhysicalNode& b = got.node(got.roots[r]);
+        const double rel_err = std::abs(b.true_rows - a.true_rows) /
+                               std::max(1.0, std::abs(a.true_rows));
+        max_rel_err = std::max(max_rel_err, rel_err);
+        EXPECT_LE(rel_err, 1e-9)
+            << pj.job.job_id << " root " << r << " with rules flipped "
+            << FlippedRules(config) << ": " << b.true_rows << " vs "
+            << a.true_rows;
+        ASSERT_NE(a.schema, nullptr);
+        ASSERT_NE(b.schema, nullptr);
+        EXPECT_EQ(*b.schema, *a.schema) << pj.job.job_id << " root " << r;
+        ++compared;
+      }
+    }
+  }
+  std::printf("%zu root comparisons, max relative error %.3g\n", compared,
+              max_rel_err);
+  // Most flips compile: the check must have compared many roots per job.
+  EXPECT_GT(compared, 10 * jobs.size());
+}
+
+// ---------------------------------------------------------------------------
+// Concurrent restarts: the memo's normalized tier hands one NormalizedPlan
+// to every compile of a job that reuses it, on whichever threads those run.
+// The seed is shared read-only, so concurrent restarts must give exactly
+// the serial results.
+// ---------------------------------------------------------------------------
+
+TEST(OptimizerConcurrencyTest, ConcurrentRestartsMatchSerial) {
+  const std::vector<PinnedJob> jobs = PinnedJobs();
+  const std::vector<RuleConfig> configs = PinnedConfigs();
+  const RuleConfig base = RuleConfig::Default();
+  struct JobRestarts {
+    NormalizedPlan normalized;
+    std::vector<const RuleConfig*> configs;  ///< those that may restart
+    std::vector<uint64_t> serial;            ///< FoldResult per config
+  };
+  std::vector<JobRestarts> work(jobs.size());
+  size_t runs = 0;
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    Optimizer optimizer(jobs[j].job.catalog);
+    BitVector256 norm_consulted;
+    ASSERT_TRUE(optimizer
+                    .OptimizeTracked(jobs[j].plan, base, &norm_consulted,
+                                     nullptr, &work[j].normalized)
+                    .ok());
+    for (const RuleConfig& config : configs) {
+      if (!AgreesOn(config, base, norm_consulted)) continue;
+      work[j].configs.push_back(&config);
+      work[j].serial.push_back(FoldResult(
+          optimizer.OptimizeFromNormalized(work[j].normalized, config,
+                                           nullptr),
+          0));
+    }
+    runs += work[j].configs.size();
+  }
+  ASSERT_EQ(runs, kPinnedNormalizedRuns);
+
+  // Job by job, so the 4 threads restart from the same seed at the same
+  // time; each starts its config rotation at a different offset.
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t j = 0; j < jobs.size(); ++j) {
+        const JobRestarts& w = work[j];
+        Optimizer optimizer(jobs[j].job.catalog);
+        const size_t n = w.configs.size();
+        for (size_t k = 0; k < n; ++k) {
+          const size_t c = (k + t * n / kThreads) % n;
+          const uint64_t got = FoldResult(
+              optimizer.OptimizeFromNormalized(w.normalized, *w.configs[c],
+                                               nullptr),
+              0);
+          if (got != w.serial[c]) mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace
