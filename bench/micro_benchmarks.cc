@@ -102,12 +102,17 @@ void BM_ExecutePrepared(benchmark::State& state) {
 BENCHMARK(BM_ExecutePrepared);
 
 // --- Interned symbol table + cross-config memo (src/common/, src/optimizer/):
-// the compile hot path does integer array reads where it used to probe
+// the compile hot path compares integer ids where it used to probe
 // unordered_map<std::string>, and the per-job memo serves config flips of
 // unconsulted rules without re-running the optimizer at all.
 
 void BM_CatalogLookupInterned(benchmark::State& state) {
   // A catalog shaped like a generated job's: a wide fact table plus dims.
+  // The symbol table here holds a few dozen names, which hid the cost of
+  // the id-indexed slot array catalogs once kept: sized by the process's
+  // symbol count, it reached ~7,100 slots per catalog (28 KB, copied with
+  // every job instance) late in a qobench `offline` run. Catalogs now scan
+  // their own tables, so this lookup no longer depends on that count.
   scope::Catalog catalog;
   std::vector<std::pair<Symbol, Symbol>> keys;
   for (int t = 0; t < 4; ++t) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 
 #include "core/feature_gen.h"
 #include "core/recommend.h"
@@ -113,7 +114,9 @@ telemetry::WorkloadView ExperimentEnv::BuildDayView(
   QO_OBS_SPAN("build_day_view");
   telemetry::WorkloadView view;
   view.day = day;
-  const std::vector<workload::JobInstance> jobs = driver_.DayJobs(day);
+  // Each commit moves its job into the view row: work(i) is done with it by
+  // then, and the shard and priority callbacks ran at submission.
+  std::vector<workload::JobInstance> jobs = driver_.DayJobs(day);
   runtime::ForEachOrdered<Result<engine::JobRunResult>>(
       &runtime_, jobs.size(),
       [&](size_t i) { return static_cast<uint64_t>(jobs[i].template_id); },
@@ -158,7 +161,7 @@ telemetry::WorkloadView ExperimentEnv::BuildDayView(
           ++regressions_injected_;
         }
         view.rows.push_back(telemetry::MakeViewRow(
-            jobs[i], *result->compilation, metrics));
+            std::move(jobs[i]), *result->compilation, metrics));
       });
   return view;
 }
@@ -175,8 +178,8 @@ StabilityResult RunRecurringStability(const ExperimentEnv& env, Metric metric,
 
   // Week1 occurrences by template.
   std::unordered_map<int, workload::JobInstance> week1;
-  for (const auto& job : env.driver().DayJobs(week1_day)) {
-    if (job.recurring) week1.emplace(job.template_id, job);
+  for (auto& job : env.driver().DayJobs(week1_day)) {
+    if (job.recurring) week1.try_emplace(job.template_id, std::move(job));
   }
 
   size_t improving = 0, regressed = 0;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "obs/metrics.h"
 #include "optimizer/cardinality.h"
 
 namespace qo::opt {
@@ -693,14 +694,23 @@ class MemoOptimizer {
     std::vector<int> root_phys;
     root_phys.reserve(seed.roots.size());
     BitVector256 signature = norm.fired;
+    bool feasible = true;
     for (int g : seed.roots) {
       Winner w = OptimizeGroup(g, PhysProp::Any(), 0);
       if (!w.feasible) {
-        return Status::CompileError(
-            "no physical plan under this rule configuration");
+        feasible = false;
+        break;
       }
       root_phys.push_back(w.phys);
       signature |= w.rules;
+    }
+    // Every expr this search's memo held, seed exprs included: one count
+    // per search, so an `applied` row that re-admits or blocks an
+    // alternative shows even where the winner does not move.
+    QO_OBS_COUNT("optimizer.memo.exprs", applied_.size());
+    if (!feasible) {
+      return Status::CompileError(
+          "no physical plan under this rule configuration");
     }
     // Required normalization rules fire on every compilation.
     signature.Set(rules::kNormalizeScript);

@@ -12,19 +12,17 @@ namespace {
 /// hashing path/column bytes; equal strings share one global id, so content
 /// equality is preserved within a process. Avalanched so entries can be
 /// combined (and incrementally removed) with plain + / - arithmetic.
-uint64_t TableHash(Symbol path, const TableStats& stats,
-                   const std::vector<Symbol>& col_syms,
-                   const std::vector<ColumnStats>& col_stats) {
+uint64_t TableHash(Symbol path, const TableStats& stats) {
   uint64_t t = HashU64(path, 0xcafef00dd15ea5e5ULL);
   t = HashDouble(stats.true_rows, t);
   t = HashDouble(stats.est_rows, t);
   t = HashDouble(stats.avg_row_bytes, t);
-  uint64_t cols = col_syms.size();
+  uint64_t cols = stats.columns.size();
   // Column order must not matter: combine with +.
-  for (size_t i = 0; i < col_syms.size(); ++i) {
-    uint64_t c = HashU64(col_syms[i], 0xc01d57a75ULL);
-    c = HashDouble(col_stats[i].true_ndv, c);
-    c = HashDouble(col_stats[i].est_ndv, c);
+  for (const auto& [sym, cs] : stats.columns) {
+    uint64_t c = HashU64(sym, 0xc01d57a75ULL);
+    c = HashDouble(cs.true_ndv, c);
+    c = HashDouble(cs.est_ndv, c);
     cols += MixHash(c);
   }
   t = HashU64(cols, t);
@@ -33,45 +31,44 @@ uint64_t TableHash(Symbol path, const TableStats& stats,
 
 }  // namespace
 
-void Catalog::RegisterTable(const std::string& path, TableStats stats) {
-  InternedTable entry;
-  entry.path = Sym(path);
-  entry.col_syms.reserve(stats.columns.size());
-  for (const auto& [column, cstats] : stats.columns) {
-    entry.col_syms.push_back(Sym(column));
+ColumnStats& ColumnStatsMap::Set(Symbol column) {
+  for (Entry& e : entries_) {
+    if (e.first == column) return e.second;
   }
-  std::sort(entry.col_syms.begin(), entry.col_syms.end());
-  entry.col_stats.resize(entry.col_syms.size());
-  for (const auto& [column, cstats] : stats.columns) {
-    size_t idx = static_cast<size_t>(
-        std::lower_bound(entry.col_syms.begin(), entry.col_syms.end(),
-                         Sym(column)) -
-        entry.col_syms.begin());
-    entry.col_stats[idx] = cstats;
-  }
-  entry.stats = std::move(stats);
-  entry.content_hash =
-      TableHash(entry.path, entry.stats, entry.col_syms, entry.col_stats);
+  return entries_.emplace_back(column, ColumnStats{}).second;
+}
 
+const ColumnStats* ColumnStatsMap::FindSorted(Symbol column) const {
+  auto it = std::lower_bound(
+      entries_.begin(), entries_.end(), column,
+      [](const Entry& e, Symbol sym) { return e.first < sym; });
+  if (it == entries_.end() || it->first != column) return nullptr;
+  return &it->second;
+}
+
+void Catalog::RegisterTable(Symbol path, TableStats stats) {
+  std::vector<ColumnStatsMap::Entry>& cols = stats.columns.entries_;
+  std::sort(cols.begin(), cols.end(),
+            [](const ColumnStatsMap::Entry& a, const ColumnStatsMap::Entry& b) {
+              return a.first < b.first;
+            });
+  const uint64_t hash = TableHash(path, stats);
   // Maintain the fingerprint sum incrementally: the compile path reads
   // StatsFingerprint once per cache lookup, so it must stay O(1) there.
-  if (entry.path >= slot_by_sym_.size()) {
-    slot_by_sym_.resize(entry.path + 1, -1);
+  fingerprint_sum_ += hash;
+  for (InternedTable& t : tables_) {
+    if (t.path == path) {
+      fingerprint_sum_ -= t.content_hash;
+      t.content_hash = hash;
+      t.stats = std::move(stats);
+      return;
+    }
   }
-  int32_t slot = slot_by_sym_[entry.path];
-  if (slot >= 0) {
-    fingerprint_sum_ -= tables_[static_cast<size_t>(slot)].content_hash;
-    fingerprint_sum_ += entry.content_hash;
-    tables_[static_cast<size_t>(slot)] = std::move(entry);
-    return;
-  }
-  slot_by_sym_[entry.path] = static_cast<int32_t>(tables_.size());
-  fingerprint_sum_ += entry.content_hash;
-  tables_.push_back(std::move(entry));
+  tables_.push_back({path, hash, std::move(stats)});
 }
 
 Result<const TableStats*> Catalog::Lookup(const std::string& path) const {
-  const InternedTable* t = FindTable(Sym(path));
+  const InternedTable* t = FindTable(SymbolTable::Global().Find(path));
   if (t == nullptr) {
     return Status::NotFound("table not in catalog: " + path);
   }
@@ -95,15 +92,15 @@ uint64_t Catalog::StatsFingerprint() const {
 const ColumnStats& Catalog::LookupColumn(Symbol path, Symbol column) const {
   static const ColumnStats kDefaultColumnStats{};
   const InternedTable* t = FindTable(path);
-  if (t == nullptr) return kDefaultColumnStats;
-  auto it = std::lower_bound(t->col_syms.begin(), t->col_syms.end(), column);
-  if (it == t->col_syms.end() || *it != column) return kDefaultColumnStats;
-  return t->col_stats[static_cast<size_t>(it - t->col_syms.begin())];
+  const ColumnStats* cs =
+      t == nullptr ? nullptr : t->stats.columns.FindSorted(column);
+  return cs == nullptr ? kDefaultColumnStats : *cs;
 }
 
 const ColumnStats& Catalog::LookupColumn(const std::string& path,
                                          const std::string& column) const {
-  return LookupColumn(Sym(path), Sym(column));
+  const SymbolTable& table = SymbolTable::Global();
+  return LookupColumn(table.Find(path), table.Find(column));
 }
 
 }  // namespace qo::scope

@@ -1,8 +1,10 @@
 #include "telemetry/workload_view.h"
 
+#include <utility>
+
 namespace qo::telemetry {
 
-WorkloadViewRow MakeViewRow(const workload::JobInstance& instance,
+WorkloadViewRow MakeViewRow(workload::JobInstance instance,
                             const opt::CompilationOutput& compilation,
                             const exec::JobMetrics& metrics) {
   WorkloadViewRow row;
@@ -34,7 +36,7 @@ WorkloadViewRow MakeViewRow(const workload::JobInstance& instance,
   row.max_memory = metrics.max_memory_bytes;
   row.avg_memory = metrics.avg_memory_bytes;
   row.pn_hours = metrics.pn_hours;
-  row.instance = instance;
+  row.instance = std::move(instance);
   return row;
 }
 

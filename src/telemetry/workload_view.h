@@ -49,8 +49,8 @@ struct WorkloadViewRow {
 };
 
 /// Builds a view row from a finished run, performing the per-tree -> job
-/// aggregation of Table 1.
-WorkloadViewRow MakeViewRow(const workload::JobInstance& instance,
+/// aggregation of Table 1. The row keeps `instance`: move it in.
+WorkloadViewRow MakeViewRow(workload::JobInstance instance,
                             const opt::CompilationOutput& compilation,
                             const exec::JobMetrics& metrics);
 

@@ -1,6 +1,7 @@
 #include "workload/template_gen.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -13,18 +14,46 @@ using scope::ColumnType;
 using scope::CompareOp;
 using scope::SelectItem;
 
-std::string FormatDouble(double v) {
+void AppendDouble(std::string* s, double v) {
   char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
+  int n = std::snprintf(buf, sizeof(buf), "%.6g", v);
+  s->append(buf, static_cast<size_t>(n));
 }
 
-/// Key for the per-occurrence selectivity/fanout maps.
-std::string FilterKey(size_t select_idx, size_t filter_idx) {
-  return "s" + std::to_string(select_idx) + "_f" + std::to_string(filter_idx);
+std::string FormatDouble(double v) {
+  std::string s;
+  AppendDouble(&s, v);
+  return s;
 }
-std::string JoinKey(size_t select_idx, size_t join_idx) {
-  return "s" + std::to_string(select_idx) + "_j" + std::to_string(join_idx);
+
+void AppendInt(std::string* s, long long v) {
+  char buf[24];
+  auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  s->append(buf, end);
+}
+
+/// Interns `table`'s path, then its columns in the iteration order of a
+/// string-keyed hash map filled in column order, which is the order
+/// instantiation has always interned them in. Symbol ids feed every catalog
+/// fingerprint and so the compile cache's shard choice: another order would
+/// move each run's cache hits and evictions.
+ResolvedTable Resolve(const TableSpec& table) {
+  ResolvedTable r;
+  r.path = Sym(table.path);
+  std::unordered_map<std::string, size_t> order;
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    order[table.columns[c].name] = c;
+  }
+  r.columns.resize(table.columns.size());
+  for (const auto& [name, c] : order) r.columns[c] = Sym(name);
+  r.base_ndv.reserve(table.columns.size());
+  for (const Column& col : table.columns) {
+    r.avg_row_bytes += scope::ColumnTypeWidth(col.type);
+    auto it = table.base_ndv.find(col.name);
+    r.base_ndv.push_back(it != table.base_ndv.end() ? it->second
+                                                    : table.base_rows / 100.0);
+  }
+  return r;
 }
 
 }  // namespace
@@ -241,62 +270,104 @@ std::vector<JobTemplate> TemplateGenerator::Generate(int count, int first_id) {
   return out;
 }
 
-std::string RenderScript(
-    const JobTemplate& tmpl,
-    const std::unordered_map<std::string, double>& sels,
-    const std::unordered_map<std::string, double>& fans) {
+ResolvedTables& ResolvedTables::operator=(const ResolvedTables&) {
+  delete resolved_.exchange(nullptr, std::memory_order_acq_rel);
+  return *this;
+}
+
+ResolvedTables::~ResolvedTables() {
+  delete resolved_.load(std::memory_order_acquire);
+}
+
+const std::vector<ResolvedTable>& ResolvedTables::Get(
+    const std::vector<TableSpec>& tables) const {
+  const std::vector<ResolvedTable>* current =
+      resolved_.load(std::memory_order_acquire);
+  if (current != nullptr) return *current;
+  auto* fresh = new std::vector<ResolvedTable>();
+  fresh->reserve(tables.size());
+  for (const TableSpec& table : tables) fresh->push_back(Resolve(table));
+  // A thread that loses the race drops its copy; interning is idempotent,
+  // so both resolved the same ids.
+  if (!resolved_.compare_exchange_strong(current, fresh,
+                                         std::memory_order_acq_rel)) {
+    delete fresh;
+    return *current;
+  }
+  return *fresh;
+}
+
+std::string RenderScript(const JobTemplate& tmpl, std::span<const double> sels,
+                         std::span<const double> fans) {
   std::string s;
   // EXTRACT statements: rowset name = <basename>_rs.
   for (const TableSpec& table : tmpl.tables) {
-    std::string base = table.path.substr(table.path.find_last_of('/') + 1);
-    s += base + "_rs = EXTRACT ";
+    const size_t slash = table.path.find_last_of('/') + 1;
+    s.append(table.path, slash);
+    s += "_rs = EXTRACT ";
     for (size_t i = 0; i < table.columns.size(); ++i) {
       if (i > 0) s += ", ";
       s += table.columns[i].name;
-      s += ":";
+      s += ':';
       s += scope::ColumnTypeToString(table.columns[i].type);
     }
-    s += " FROM \"" + table.path + "\";\n";
+    s += " FROM \"";
+    s += table.path;
+    s += "\";\n";
   }
   for (const UnionSpec& u : tmpl.unions) {
-    s += u.target + " = " + u.left + " UNION ALL " + u.right + ";\n";
+    s += u.target;
+    s += " = ";
+    s += u.left;
+    s += " UNION ALL ";
+    s += u.right;
+    s += ";\n";
   }
-  for (size_t si = 0; si < tmpl.selects.size(); ++si) {
-    const SelectSpec& sel = tmpl.selects[si];
-    s += sel.target + " = SELECT ";
+  size_t next_filter = 0, next_join = 0;
+  for (const SelectSpec& sel : tmpl.selects) {
+    s += sel.target;
+    s += " = SELECT ";
     for (size_t i = 0; i < sel.items.size(); ++i) {
       if (i > 0) s += ", ";
       s += sel.items[i].ToString();
     }
-    s += " FROM " + sel.from;
-    for (size_t ji = 0; ji < sel.joins.size(); ++ji) {
-      const JoinSpec& j = sel.joins[ji];
-      auto it = fans.find(JoinKey(si, ji));
-      double fanout = it != fans.end() ? it->second : j.base_fanout;
-      s += "\n  JOIN " + j.rowset + " ON " + j.left_column + " == " +
-           j.right_column + " @ " + FormatDouble(fanout);
+    s += " FROM ";
+    s += sel.from;
+    for (const JoinSpec& j : sel.joins) {
+      s += "\n  JOIN ";
+      s += j.rowset;
+      s += " ON ";
+      s += j.left_column;
+      s += " == ";
+      s += j.right_column;
+      s += " @ ";
+      AppendDouble(&s, fans[next_join++]);
     }
     for (size_t fi = 0; fi < sel.filters.size(); ++fi) {
       const FilterSpec& f = sel.filters[fi];
-      auto it = sels.find(FilterKey(si, fi));
-      double sel_value = it != sels.end() ? it->second : f.base_selectivity;
       s += fi == 0 ? "\n  WHERE " : " AND ";
       s += f.column;
-      s += " ";
+      s += ' ';
       s += scope::CompareOpToString(f.op);
-      s += " ";
+      s += ' ';
       s += f.literal;
-      s += " @ " + FormatDouble(sel_value);
+      s += " @ ";
+      AppendDouble(&s, sels[next_filter++]);
     }
-    for (const std::string& g : sel.group_by) {
-      s += (&g == &sel.group_by.front()) ? "\n  GROUP BY " : ", ";
-      s += g;
+    for (size_t gi = 0; gi < sel.group_by.size(); ++gi) {
+      s += gi == 0 ? "\n  GROUP BY " : ", ";
+      s += sel.group_by[gi];
     }
     s += ";\n";
   }
   for (size_t oi = 0; oi < tmpl.outputs.size(); ++oi) {
-    s += "OUTPUT " + tmpl.outputs[oi] + " TO \"store://out/" + tmpl.name +
-         "_" + std::to_string(oi) + "\";\n";
+    s += "OUTPUT ";
+    s += tmpl.outputs[oi];
+    s += " TO \"store://out/";
+    s += tmpl.name;
+    s += '_';
+    AppendInt(&s, static_cast<long long>(oi));
+    s += "\";\n";
   }
   return s;
 }
@@ -308,12 +379,18 @@ JobInstance Instantiate(const JobTemplate& tmpl, int day, int occurrence,
   inst.template_name = tmpl.name;
   inst.day = day;
   inst.recurring = tmpl.recurring;
-  inst.job_id = tmpl.name + "_d" + std::to_string(day) + "_o" +
-                std::to_string(occurrence);
+  inst.job_id = tmpl.name;
+  inst.job_id += "_d";
+  AppendInt(&inst.job_id, day);
+  inst.job_id += "_o";
+  AppendInt(&inst.job_id, occurrence);
   inst.run_seed = rng->Next();
 
   // Drift the inputs and register per-occurrence statistics.
-  for (const TableSpec& table : tmpl.tables) {
+  const std::vector<ResolvedTable>& resolved = tmpl.resolved.Get(tmpl.tables);
+  for (size_t t = 0; t < tmpl.tables.size(); ++t) {
+    const TableSpec& table = tmpl.tables[t];
+    const ResolvedTable& r = resolved[t];
     double day_drift = rng->LogNormal(0.0, 0.16);
     double true_rows = std::max(100.0, table.base_rows * day_drift);
     scope::TableStats stats;
@@ -321,34 +398,28 @@ JobInstance Instantiate(const JobTemplate& tmpl, int day, int occurrence,
     // Stale estimates: template-level bias plus day jitter.
     stats.est_rows =
         std::max(10.0, true_rows * table.est_bias * rng->LogNormal(0.0, 0.12));
-    stats.avg_row_bytes = 0.0;
-    for (const auto& col : table.columns) {
-      stats.avg_row_bytes += scope::ColumnTypeWidth(col.type);
-    }
+    stats.avg_row_bytes = r.avg_row_bytes;
     double scale = true_rows / std::max(1.0, table.base_rows);
-    for (const auto& col : table.columns) {
-      scope::ColumnStats cs;
-      auto it = table.base_ndv.find(col.name);
-      double base = it != table.base_ndv.end() ? it->second
-                                               : table.base_rows / 100.0;
-      cs.true_ndv = std::max(1.0, std::min(base * std::sqrt(scale), true_rows));
+    stats.columns.reserve(r.columns.size());
+    for (size_t c = 0; c < r.columns.size(); ++c) {
+      scope::ColumnStats& cs = stats.columns.Set(r.columns[c]);
+      cs.true_ndv =
+          std::max(1.0, std::min(r.base_ndv[c] * std::sqrt(scale), true_rows));
       cs.est_ndv = std::max(1.0, cs.true_ndv * rng->LogNormal(0.0, 0.45));
-      stats.columns[col.name] = cs;
     }
-    inst.catalog.RegisterTable(table.path, std::move(stats));
+    inst.catalog.RegisterTable(r.path, std::move(stats));
   }
 
-  // Drift filter selectivities and join fanouts.
-  std::unordered_map<std::string, double> sels, fans;
-  for (size_t si = 0; si < tmpl.selects.size(); ++si) {
-    const SelectSpec& sel = tmpl.selects[si];
-    for (size_t fi = 0; fi < sel.filters.size(); ++fi) {
-      double v = sel.filters[fi].base_selectivity * rng->LogNormal(0.0, 0.25);
-      sels[FilterKey(si, fi)] = std::clamp(v, 0.0005, 0.95);
+  // Drift filter selectivities and join fanouts, statement by statement.
+  std::vector<double> sels, fans;
+  for (const SelectSpec& sel : tmpl.selects) {
+    for (const FilterSpec& f : sel.filters) {
+      double v = f.base_selectivity * rng->LogNormal(0.0, 0.25);
+      sels.push_back(std::clamp(v, 0.0005, 0.95));
     }
-    for (size_t ji = 0; ji < sel.joins.size(); ++ji) {
-      double v = sel.joins[ji].base_fanout * rng->LogNormal(0.0, 0.12);
-      fans[JoinKey(si, ji)] = std::clamp(v, 0.01, 50.0);
+    for (const JoinSpec& j : sel.joins) {
+      double v = j.base_fanout * rng->LogNormal(0.0, 0.12);
+      fans.push_back(std::clamp(v, 0.01, 50.0));
     }
   }
   inst.script = RenderScript(tmpl, sels, fans);

@@ -10,11 +10,14 @@
 #ifndef QO_WORKLOAD_TEMPLATE_GEN_H_
 #define QO_WORKLOAD_TEMPLATE_GEN_H_
 
+#include <atomic>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/symbol_table.h"
 #include "scope/ast.h"
 #include "scope/catalog.h"
 #include "scope/types.h"
@@ -66,6 +69,34 @@ struct UnionSpec {
   std::string right;
 };
 
+/// What instantiating one table of a template needs beyond its draws: the
+/// interned path and column names, each column's base NDV (defaults
+/// applied) and the average row width. All parallel to `TableSpec::columns`.
+struct ResolvedTable {
+  Symbol path = kNoSymbol;
+  std::vector<Symbol> columns;
+  std::vector<double> base_ndv;
+  double avg_row_bytes = 0.0;
+};
+
+/// A template's `ResolvedTable`s, built once, on the template's first
+/// instantiation, by whichever thread gets there first. Copies start
+/// unresolved, so a copied template may be edited before its own first
+/// instantiation; a template must not change after it.
+class ResolvedTables {
+ public:
+  ResolvedTables() = default;
+  ResolvedTables(const ResolvedTables&) noexcept {}
+  ResolvedTables& operator=(const ResolvedTables&);
+  ~ResolvedTables();
+
+  const std::vector<ResolvedTable>& Get(
+      const std::vector<TableSpec>& tables) const;
+
+ private:
+  mutable std::atomic<const std::vector<ResolvedTable>*> resolved_{nullptr};
+};
+
 /// A structural job template.
 struct JobTemplate {
   int id = 0;
@@ -75,6 +106,7 @@ struct JobTemplate {
   std::vector<SelectSpec> selects;
   std::vector<UnionSpec> unions;  ///< rendered before the selects
   std::vector<std::string> outputs;  ///< rowsets written (>=1)
+  ResolvedTables resolved;  ///< filled by the first Instantiate
 };
 
 /// A concrete occurrence of a template on a given day.
@@ -112,10 +144,10 @@ JobInstance Instantiate(const JobTemplate& tmpl, int day, int occurrence,
                         Rng* rng);
 
 /// Renders the script text for a template given concrete per-occurrence
-/// selectivities/fanouts. Exposed for tests.
-std::string RenderScript(const JobTemplate& tmpl,
-                         const std::unordered_map<std::string, double>& sels,
-                         const std::unordered_map<std::string, double>& fans);
+/// selectivities and fanouts: `sels` holds one value per filter and `fans`
+/// one per join, in statement order. Exposed for tests.
+std::string RenderScript(const JobTemplate& tmpl, std::span<const double> sels,
+                         std::span<const double> fans);
 
 }  // namespace qo::workload
 

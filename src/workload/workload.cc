@@ -1,5 +1,7 @@
 #include "workload/workload.h"
 
+#include "obs/span.h"
+
 namespace qo::workload {
 
 WorkloadDriver::WorkloadDriver(WorkloadConfig config) : config_(config) {
@@ -8,6 +10,7 @@ WorkloadDriver::WorkloadDriver(WorkloadConfig config) : config_(config) {
 }
 
 std::vector<JobInstance> WorkloadDriver::DayJobs(int day) const {
+  QO_OBS_SPAN("day_jobs");
   Rng rng(config_.seed ^ (0x5851f42d4c957f2dULL *
                           static_cast<uint64_t>(day + 1)));
   std::vector<JobInstance> jobs;

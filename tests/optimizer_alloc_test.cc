@@ -11,11 +11,14 @@
 #include <memory>
 #include <new>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "optimizer/optimizer.h"
 #include "optimizer/rules.h"
+#include "common/symbol_table.h"
 #include "optimizer_job_set.h"
+#include "scope/catalog.h"
 
 namespace {
 
@@ -142,6 +145,46 @@ TEST(OptimizerAllocTest, AllocationsPerRunStayWithinBudget) {
   // its bound is the tighter one.
   EXPECT_LE(restarted.allocs * 100, kBaselineRestartedAllocs * 25)
       << "OptimizeFromNormalized allocations/run above 25% of the baseline";
+}
+
+/// A catalog shaped like a generated job's: a fact table and two dims,
+/// with paths under `prefix` (equal-length prefixes give equal shapes).
+scope::Catalog JobShapedCatalog(const std::string& prefix) {
+  scope::Catalog catalog;
+  for (const char* table : {"fact", "dim0", "dim1"}) {
+    scope::TableStats stats;
+    for (int c = 0; c < 10; ++c) {
+      stats.columns["col" + std::to_string(c)] = {1e4, 1.1e4};
+    }
+    catalog.RegisterTable(prefix + table, std::move(stats));
+  }
+  return catalog;
+}
+
+uint64_t BytesToCopy(const scope::Catalog& catalog) {
+  const uint64_t b0 = g_bytes.load(std::memory_order_relaxed);
+  const scope::Catalog copy(catalog);
+  const uint64_t bytes = g_bytes.load(std::memory_order_relaxed) - b0;
+  EXPECT_EQ(copy.StatsFingerprint(), catalog.StatsFingerprint());
+  return bytes;
+}
+
+// A catalog costs what its own tables cost: copying one must not grow with
+// the process-wide symbol table, which only ever grows over a long run.
+TEST(CatalogAllocTest, CopyBytesDoNotGrowWithTheSymbolTable) {
+  const scope::Catalog before = JobShapedCatalog("store://alloc_gate/a/");
+  const uint64_t before_bytes = BytesToCopy(before);
+  for (int i = 0; i < 100000; ++i) {
+    Sym("alloc_gate_fresh_symbol_" + std::to_string(i));
+  }
+  // Fresh paths: their ids come after the 100k symbols just interned.
+  const scope::Catalog after = JobShapedCatalog("store://alloc_gate/b/");
+  const uint64_t after_bytes = BytesToCopy(after);
+  std::printf("catalog copy: %llu bytes before, %llu after 100k symbols\n",
+              static_cast<unsigned long long>(before_bytes),
+              static_cast<unsigned long long>(after_bytes));
+  EXPECT_GT(before_bytes, 0u);
+  EXPECT_EQ(after_bytes, before_bytes);
 }
 
 }  // namespace

@@ -560,6 +560,9 @@ constexpr size_t kPinnedJobCount = 101;
 constexpr size_t kPinnedNormalizedRuns = 2971;
 constexpr size_t kPinnedFailures = 778;
 constexpr uint64_t kPinnedDigest = 0xa58a0932e894d03cULL;
+// Memo exprs summed over every search of the pass (optimizer.memo.exprs),
+// added with that counter; it did not move any of the constants above.
+constexpr double kPinnedMemoExprs = 43075;
 
 TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
   const std::vector<PinnedJob> jobs = PinnedJobs();
@@ -568,6 +571,8 @@ TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
   uint64_t digest = kFnvOffsetBasis;
   size_t full_runs = 0, normalized_runs = 0, failures = 0;
   BitVector256 used_rules;  // union of every successful signature
+  const double exprs_before =
+      obs::Registry::Get().Snapshot().SeriesValue("optimizer.memo.exprs");
   for (const PinnedJob& pj : jobs) {
     Optimizer optimizer(pj.job.catalog);
     BitVector256 norm_consulted;
@@ -606,6 +611,12 @@ TEST(OptimizerPinnedOutputsTest, DigestOverWiredFlipsIsPinned) {
     EXPECT_TRUE(used_rules.Test(rule)) << "rule " << rule;
   }
   EXPECT_EQ(digest, kPinnedDigest) << std::hex << "0x" << digest;
+  // The search's work, which the digest cannot see where an alternative
+  // that a wrong `applied` row re-admits never wins.
+  const double exprs =
+      obs::Registry::Get().Snapshot().SeriesValue("optimizer.memo.exprs") -
+      exprs_before;
+  EXPECT_EQ(exprs, kPinnedMemoExprs);
 }
 
 // ---------------------------------------------------------------------------

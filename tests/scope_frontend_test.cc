@@ -1,6 +1,10 @@
 // Tests for the SCOPE-like language front end: lexer, parser, compiler.
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/symbol_table.h"
+#include "scope/catalog.h"
 #include "scope/compiler.h"
 #include "scope/lexer.h"
 #include "scope/parser.h"
@@ -282,6 +286,33 @@ TEST(CompilerTest, SelectStarWithoutFilterAliasesSameNode) {
     EXPECT_NE(node.kind, LogicalOpKind::kProject);
     EXPECT_NE(node.kind, LogicalOpKind::kFilter);
   }
+}
+
+// An untrusted script names whatever inputs it likes. Probing the catalog
+// for a path or column nobody ever interned must miss without growing the
+// process-wide symbol table, which is never trimmed.
+TEST(CatalogTest, ProbesOfUnseenNamesNeverGrowTheSymbolTable) {
+  const Catalog catalog = TestCatalog();
+  const std::string path = "store://catalog_probe/never/interned";
+  const size_t before = SymbolTable::Global().size();
+  EXPECT_FALSE(catalog.Has(path));
+  EXPECT_FALSE(catalog.Lookup(path).ok());
+  const ColumnStats& unseen_table =
+      catalog.LookupColumn(path, "catalog_probe_column");
+  const ColumnStats& unseen_column =
+      catalog.LookupColumn("p", "catalog_probe_column");
+  EXPECT_EQ(unseen_table.true_ndv, ColumnStats{}.true_ndv);
+  EXPECT_EQ(unseen_column.est_ndv, ColumnStats{}.est_ndv);
+  // The compiler probes every EXTRACT path before it binds anything.
+  auto plan = CompileSource("rs = EXTRACT a:int FROM \"" + path +
+                                "\"; OUTPUT rs TO \"o\";",
+                            catalog);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kCompileError);
+  EXPECT_EQ(SymbolTable::Global().size(), before);
+  // Registered names still resolve through the string overloads.
+  EXPECT_TRUE(catalog.Has("p"));
+  EXPECT_EQ(catalog.LookupColumn("p", "b").true_ndv, 10);
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Workload generator and telemetry view tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 
+#include "common/hash.h"
 #include "engine/engine.h"
 #include "scope/parser.h"
 #include "telemetry/workload_view.h"
@@ -142,6 +144,59 @@ TEST(WorkloadDriverTest, RecurringTemplatesReappearAcrossDays) {
   int shared = 0;
   for (int id : day0) shared += day5.count(id);
   EXPECT_GT(shared, 0);
+}
+
+// Digest of everything DayJobs produces for a fixed driver, built from
+// strings and doubles only (never interned ids, which depend on what the
+// process interned before): job ids, scripts, run seeds, each input table's
+// true/est rows and average row bytes, and each column's NDVs looked up by
+// name. Input paths and columns come from the script's own EXTRACT
+// statements, so one-off jobs are covered like recurring ones. A change to
+// instantiation that moves any draw, annotation or statistic moves it.
+TEST(WorkloadDriverTest, DayJobsDigestIsPinned) {
+  WorkloadDriver driver({.num_templates = 90, .jobs_per_day = 150,
+                         .seed = 2022});
+  uint64_t h = kFnvOffsetBasis;
+  size_t jobs = 0, tables = 0, columns = 0;
+  for (int day = 0; day < 10; ++day) {
+    for (const JobInstance& job : driver.DayJobs(day)) {
+      ++jobs;
+      h = HashString(job.job_id, h);
+      h = HashString(job.template_name, h);
+      h = HashU64(static_cast<uint64_t>(job.template_id), h);
+      h = HashU64(static_cast<uint64_t>(job.day), h);
+      h = HashU64(job.recurring ? 1 : 0, h);
+      h = HashU64(job.run_seed, h);
+      h = HashString(job.script, h);
+      auto parsed = scope::ParseScript(job.script);
+      ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << job.script;
+      for (const scope::Statement& stmt : parsed->statements) {
+        if (stmt.kind != scope::StatementKind::kExtract) continue;
+        const scope::ExtractStatement& ex = stmt.extract;
+        auto stats = job.catalog.Lookup(ex.input_path);
+        ASSERT_TRUE(stats.ok()) << ex.input_path;
+        ++tables;
+        h = HashString(ex.input_path, h);
+        h = HashDouble(stats.value()->true_rows, h);
+        h = HashDouble(stats.value()->est_rows, h);
+        h = HashDouble(stats.value()->avg_row_bytes, h);
+        for (const scope::Column& col : ex.columns) {
+          ++columns;
+          const scope::ColumnStats& cs =
+              job.catalog.LookupColumn(ex.input_path, col.name);
+          h = HashString(col.name, h);
+          h = HashDouble(cs.true_ndv, h);
+          h = HashDouble(cs.est_ndv, h);
+        }
+      }
+    }
+  }
+  std::printf("DayJobs digest: %zu jobs, %zu tables, %zu columns, %016llx\n",
+              jobs, tables, columns, static_cast<unsigned long long>(h));
+  EXPECT_EQ(jobs, 1500u);
+  EXPECT_EQ(tables, 3168u);
+  EXPECT_EQ(columns, 26955u);
+  EXPECT_EQ(h, 0x7a18f2f7f3302bedULL);
 }
 
 TEST(WorkloadViewTest, RowAggregatesTable1Features) {
