@@ -1,16 +1,21 @@
 // Process-wide string interning.
 //
-// The compile hot path (catalog lookups, cardinality derivation, memo
-// fingerprints, physical-property keys) used to hash and compare
-// `std::string` table/column names on every probe. A `Symbol` is a dense
-// uint32 id assigned by the global `SymbolTable`; equal strings always map
-// to the same id within a process, so every string compare/hash on the hot
-// path becomes a single integer compare/mix.
+// A `Symbol` is a dense uint32 id assigned by the global `SymbolTable`;
+// equal strings always map to the same id within a process, so every name
+// compare/hash on the compile hot path (catalog lookups, cardinality
+// derivation, memo fingerprints, physical-property keys) is a single
+// integer compare/mix.
+//
+// The contract: the AST is text (the parser interns nothing); the binder
+// (scope/compiler.cc) is the one place where a script's names are interned;
+// the logical plan, the memo and the physical plan hold names only as
+// Symbols. Strings are rendered back (`SymName`) only at the edges: plan
+// dumps, error messages and hint files. Literals are values, not names, and
+// are never interned.
 //
 // Ids are assigned in first-intern order and are therefore *not* stable
 // across processes or thread interleavings — nothing may order results by
-// id value or persist ids. All outputs keep rendering through the original
-// strings (or `Resolve`), which preserves byte-identity of every figure.
+// id value or persist ids.
 #ifndef QO_COMMON_SYMBOL_TABLE_H_
 #define QO_COMMON_SYMBOL_TABLE_H_
 
@@ -25,8 +30,8 @@ namespace qo {
 
 using Symbol = uint32_t;
 
-/// Sentinel for "not yet interned". Structures that carry a Symbol alongside
-/// their string default to this; `scope::InternPlanSymbols` fills them in.
+/// Sentinel for "no such symbol": what `SymbolTable::Find` returns for a
+/// string that was never interned. No interned name equals it.
 inline constexpr Symbol kNoSymbol = 0xffffffffu;
 /// Pre-interned constants (registered by the table's constructor, in order).
 inline constexpr Symbol kSymEmpty = 0;  ///< ""
@@ -74,17 +79,6 @@ inline Symbol Sym(std::string_view text) {
 /// Resolves from the global table.
 inline const std::string& SymName(Symbol id) {
   return SymbolTable::Global().Resolve(id);
-}
-
-/// Lazy-intern fallback: uses `sym` when already assigned, otherwise interns
-/// `text`. Lets hot paths accept structures that skipped the intern pass.
-/// Empty text short-circuits to the pre-interned kSymEmpty — optimizer
-/// structures leave unused key/path fields empty, so this skips the table
-/// probe (and its lock) on the most common fallback by far.
-inline Symbol SymOf(Symbol sym, std::string_view text) {
-  if (sym != kNoSymbol) return sym;
-  if (text.empty()) return kSymEmpty;
-  return Sym(text);
 }
 
 }  // namespace qo

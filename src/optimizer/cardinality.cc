@@ -33,28 +33,27 @@ RelStats StatsDeriver::Scan(Symbol table_path,
     // Unregistered input: assume a small table so compilation can proceed.
     out.rows = 1000.0;
     for (const auto& col : schema.columns) {
-      out.ndv[SymOf(col.sym, col.name)] = 100.0;
+      out.ndv[col.name] = 100.0;
     }
     return out;
   }
   const scope::TableStats& t = *stats.value();
   out.rows = mode_ == StatsMode::kTrue ? t.true_rows : t.est_rows;
   for (const auto& col : schema.columns) {
-    Symbol col_sym = SymOf(col.sym, col.name);
-    const scope::ColumnStats& cs = catalog_.LookupColumn(table_path, col_sym);
+    const scope::ColumnStats& cs = catalog_.LookupColumn(table_path, col.name);
     double ndv = mode_ == StatsMode::kTrue ? cs.true_ndv : cs.est_ndv;
-    out.ndv[col_sym] = CapNdv(ndv, out.rows);
+    out.ndv[col.name] = CapNdv(ndv, out.rows);
   }
   return out;
 }
 
-double StatsDeriver::PredicateSelectivity(const scope::Predicate& pred,
+double StatsDeriver::PredicateSelectivity(const scope::BoundPredicate& pred,
                                           const RelStats& input) const {
   if (mode_ == StatsMode::kTrue && pred.true_selectivity >= 0.0) {
     return pred.true_selectivity;
   }
   // Textbook heuristics (System R defaults), using the mode's NDV.
-  double ndv = std::max(1.0, input.NdvOf(scope::ColumnSymOf(pred)));
+  double ndv = std::max(1.0, input.NdvOf(pred.column));
   switch (pred.op) {
     case scope::CompareOp::kEq:
       return 1.0 / ndv;
@@ -71,7 +70,7 @@ double StatsDeriver::PredicateSelectivity(const scope::Predicate& pred,
 
 RelStats StatsDeriver::Filter(
     const RelStats& input,
-    const std::vector<scope::Predicate>& predicates) const {
+    const std::vector<scope::BoundPredicate>& predicates) const {
   RelStats out = input;
   double sel = 1.0;
   for (const auto& pred : predicates) {
@@ -84,21 +83,20 @@ RelStats StatsDeriver::Filter(
 
 RelStats StatsDeriver::Project(
     const RelStats& input,
-    const std::vector<scope::SelectItem>& projections) const {
+    const std::vector<scope::BoundSelectItem>& projections) const {
   RelStats out;
   out.rows = input.rows;
   size_t entries = 0;
   for (const auto& item : projections) {
-    entries += scope::ColumnSymOf(item) == kSymStar ? input.ndv.size() : 1;
+    entries += item.column == kSymStar ? input.ndv.size() : 1;
   }
   out.ndv.Reserve(entries);  // the `*` copy-assign below reuses the block
   for (const auto& item : projections) {
-    Symbol col_sym = scope::ColumnSymOf(item);
-    if (col_sym == kSymStar) {
+    if (item.column == kSymStar) {
       out.ndv = input.ndv;
       continue;
     }
-    out.ndv[scope::OutputSymOf(item)] = input.NdvOf(col_sym);
+    out.ndv[item.output] = input.NdvOf(item.column);
   }
   return out;
 }
@@ -147,7 +145,7 @@ RelStats StatsDeriver::Join(const RelStats& left, const RelStats& right,
 
 RelStats StatsDeriver::Aggregate(
     const RelStats& input, const std::vector<Symbol>& group_by,
-    const std::vector<scope::SelectItem>& aggs) const {
+    const std::vector<scope::BoundSelectItem>& aggs) const {
   RelStats out;
   if (group_by.empty()) {
     out.rows = input.rows > 0 ? 1.0 : 0.0;
@@ -165,7 +163,7 @@ RelStats StatsDeriver::Aggregate(
     out.ndv[g] = CapNdv(input.NdvOf(g), out.rows);
   }
   for (const auto& item : aggs) {
-    out.ndv[scope::OutputSymOf(item)] = out.rows;
+    out.ndv[item.output] = out.rows;
   }
   return out;
 }

@@ -13,19 +13,17 @@
 //
 // Column identity is interned: NDV maps are keyed by `Symbol` ids and the
 // derivation methods take ids, so the memo's per-expression stats work is
-// integer probes. String overloads intern-and-delegate for callers that
-// still hold names (tests, diagnostics).
+// integer probes.
 #ifndef QO_OPTIMIZER_CARDINALITY_H_
 #define QO_OPTIMIZER_CARDINALITY_H_
 
 #include <algorithm>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/symbol_table.h"
-#include "scope/ast.h"
 #include "scope/catalog.h"
+#include "scope/logical_plan.h"
 #include "scope/types.h"
 
 namespace qo::opt {
@@ -109,7 +107,6 @@ struct RelStats {
     const double* n = ndv.Find(column);
     return n == nullptr ? rows : *n;
   }
-  double NdvOf(const std::string& column) const { return NdvOf(Sym(column)); }
 };
 
 /// Stateless derivation engine; one instance per (catalog, mode).
@@ -121,45 +118,26 @@ class StatsDeriver {
   StatsMode mode() const { return mode_; }
 
   RelStats Scan(Symbol table_path, const scope::Schema& schema) const;
-  RelStats Scan(const std::string& table_path,
-                const scope::Schema& schema) const {
-    return Scan(Sym(table_path), schema);
-  }
 
   RelStats Filter(const RelStats& input,
-                  const std::vector<scope::Predicate>& predicates) const;
+                  const std::vector<scope::BoundPredicate>& predicates) const;
 
   RelStats Project(const RelStats& input,
-                   const std::vector<scope::SelectItem>& projections) const;
+                   const std::vector<scope::BoundSelectItem>& projections) const;
 
   /// Inner equi-join. `true_fanout` is consulted only in kTrue mode.
   RelStats Join(const RelStats& left, const RelStats& right, Symbol left_key,
                 Symbol right_key, double true_fanout) const;
-  RelStats Join(const RelStats& left, const RelStats& right,
-                const std::string& left_key, const std::string& right_key,
-                double true_fanout) const {
-    return Join(left, right, Sym(left_key), Sym(right_key), true_fanout);
-  }
 
   RelStats Aggregate(const RelStats& input,
                      const std::vector<Symbol>& group_by,
-                     const std::vector<scope::SelectItem>& aggs) const;
-  RelStats Aggregate(const RelStats& input,
-                     const std::vector<std::string>& group_by,
-                     const std::vector<scope::SelectItem>& aggs) const {
-    return Aggregate(input, InternAll(group_by), aggs);
-  }
+                     const std::vector<scope::BoundSelectItem>& aggs) const;
 
   /// Local pre-aggregation over `partitions` partitions: each partition can
   /// emit at most the full group count, so output = min(rows, groups * P).
   RelStats PartialAggregate(const RelStats& input,
                             const std::vector<Symbol>& group_by,
                             int partitions) const;
-  RelStats PartialAggregate(const RelStats& input,
-                            const std::vector<std::string>& group_by,
-                            int partitions) const {
-    return PartialAggregate(input, InternAll(group_by), partitions);
-  }
 
   /// PartialAggregate's output row count alone (no NDV map copy), for
   /// callers that cost a partial phase without building its group.
@@ -170,17 +148,10 @@ class StatsDeriver {
   RelStats UnionAll(const RelStats& left, const RelStats& right) const;
 
   /// Selectivity of one predicate under this mode.
-  double PredicateSelectivity(const scope::Predicate& pred,
+  double PredicateSelectivity(const scope::BoundPredicate& pred,
                               const RelStats& input) const;
 
  private:
-  static std::vector<Symbol> InternAll(const std::vector<std::string>& names) {
-    std::vector<Symbol> syms;
-    syms.reserve(names.size());
-    for (const auto& n : names) syms.push_back(Sym(n));
-    return syms;
-  }
-
   const scope::Catalog& catalog_;
   StatsMode mode_;
 };

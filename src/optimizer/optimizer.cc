@@ -21,9 +21,10 @@ namespace {
 using scope::LogicalOpKind;
 using scope::LogicalNode;
 using scope::LogicalPlan;
-using scope::Predicate;
 using scope::Schema;
-using scope::SelectItem;
+// The plan's bound forms, whose names are all symbols.
+using Predicate = scope::BoundPredicate;
+using SelectItem = scope::BoundSelectItem;
 
 // ---------------------------------------------------------------------------
 // Physical properties (data distribution) requested/delivered during search.
@@ -38,35 +39,25 @@ struct PhysProp {
     kSingleton,  ///< single partition
   };
   Kind kind = Kind::kAny;
-  /// Key column name, rendered into exchange_key (display only). Points
-  /// into the memo expr the property was derived from, which outlives the
-  /// search, so copying a property copies no string.
-  const std::string* key = nullptr;
-  Symbol key_sym = kSymEmpty; ///< identity used for hashing/equality
+  Symbol key = kSymEmpty;   ///< hash key column; becomes exchange_key
   int partitions_hint = 0;  ///< consumer partitions for kBroadcast requests
 
-  static PhysProp Any() { return {Kind::kAny, nullptr, kSymEmpty, 0}; }
-  static PhysProp Random() { return {Kind::kRandom, nullptr, kSymEmpty, 0}; }
-  static PhysProp Hash(const std::string& k, Symbol s) {
-    return {Kind::kHash, &k, s, 0};
-  }
-  static PhysProp Hash(std::string&&, Symbol) = delete;  // would dangle
+  static PhysProp Any() { return {Kind::kAny, kSymEmpty, 0}; }
+  static PhysProp Random() { return {Kind::kRandom, kSymEmpty, 0}; }
+  static PhysProp Hash(Symbol k) { return {Kind::kHash, k, 0}; }
   static PhysProp Broadcast(int consumers) {
-    return {Kind::kBroadcast, nullptr, kSymEmpty, consumers};
+    return {Kind::kBroadcast, kSymEmpty, consumers};
   }
-  static PhysProp Singleton() {
-    return {Kind::kSingleton, nullptr, kSymEmpty, 0};
-  }
+  static PhysProp Singleton() { return {Kind::kSingleton, kSymEmpty, 0}; }
 
   uint64_t HashValue() const {
-    // Injective pack of (kind, partitions_hint, key_sym): unlike the old
-    // byte-wise string hash, distinct properties can never collide in the
-    // winners table.
+    // Injective pack of (kind, partitions_hint, key): distinct properties
+    // can never collide in the winners table.
     return (static_cast<uint64_t>(kind) << 56) |
            (static_cast<uint64_t>(static_cast<uint32_t>(partitions_hint) &
                                   0xffffffu)
             << 32) |
-           static_cast<uint64_t>(key_sym);
+           static_cast<uint64_t>(key);
   }
 
   /// True if a delivered property satisfies this requirement.
@@ -75,8 +66,7 @@ struct PhysProp {
       case Kind::kAny:
         return true;
       case Kind::kHash:
-        return (delivered.kind == Kind::kHash &&
-                delivered.key_sym == key_sym) ||
+        return (delivered.kind == Kind::kHash && delivered.key == key) ||
                delivered.kind == Kind::kSingleton;
       case Kind::kSingleton:
         return delivered.kind == Kind::kSingleton;
@@ -197,20 +187,18 @@ class Normalizer {
     std::vector<Predicate> translated;
     for (const Predicate& p : filter.predicates) {
       const SelectItem* source = nullptr;
-      Symbol pred_sym = scope::ColumnSymOf(p);
       for (const SelectItem& item : project.projections) {
-        if (scope::OutputSymOf(item) == pred_sym) {
+        if (item.output == p.column) {
           source = &item;
           break;
         }
       }
-      if (source == nullptr || source->column.empty() ||
-          !input.HasColumn(scope::ColumnSymOf(*source))) {
+      if (source == nullptr || source->column == kSymEmpty ||
+          !input.HasColumn(source->column)) {
         return id;
       }
       Predicate q = p;
       q.column = source->column;
-      q.column_sym = scope::ColumnSymOf(*source);
       translated.push_back(std::move(q));
     }
     LogicalNode new_filter;
@@ -232,11 +220,10 @@ class Normalizer {
     const Schema& right = plan_->node(join.children[1]).schema;
     std::vector<Predicate> to_left, to_right, rest;
     for (const Predicate& p : filter.predicates) {
-      Symbol pred_sym = scope::ColumnSymOf(p);
-      if (left.HasColumn(pred_sym) &&
+      if (left.HasColumn(p.column) &&
           Enabled(rules::kFilterPushdownIntoJoinLeft)) {
         to_left.push_back(p);
-      } else if (right.HasColumn(pred_sym) &&
+      } else if (right.HasColumn(p.column) &&
                  Enabled(rules::kFilterPushdownIntoJoinRight)) {
         to_right.push_back(p);
       } else {
@@ -303,21 +290,18 @@ class Normalizer {
     std::vector<SelectItem> merged_items;
     for (const SelectItem& item : outer.projections) {
       const SelectItem* source = nullptr;
-      Symbol item_sym = scope::ColumnSymOf(item);
       for (const SelectItem& in_item : inner.projections) {
-        if (scope::OutputSymOf(in_item) == item_sym) {
+        if (in_item.output == item.column) {
           source = &in_item;
           break;
         }
       }
-      if (source == nullptr || source->column.empty()) return id;
+      if (source == nullptr || source->column == kSymEmpty) return id;
       SelectItem m;
       m.column = source->column;
-      m.column_sym = scope::ColumnSymOf(*source);
-      m.alias = item.OutputName();
-      m.alias_sym = scope::OutputSymOf(item);
-      m.out_sym = m.alias.empty() ? m.column_sym : m.alias_sym;
-      merged_items.push_back(std::move(m));
+      m.alias = item.output;
+      m.output = m.alias == kSymEmpty ? m.column : m.alias;
+      merged_items.push_back(m);
     }
     LogicalNode merged = outer;
     merged.children = {inner.children[0]};
@@ -350,31 +334,28 @@ class Normalizer {
     }
     for (int root : plan_->roots) {
       for (const auto& c : plan_->node(root).schema.columns) {
-        Require(&required[root], c.sym);
+        Require(&required[root], c.name);
       }
     }
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
       const LogicalNode& n = plan_->node(*it);
       ColumnSet& req = required[*it];
       // Columns this node itself consumes.
-      for (const Predicate& p : n.predicates) {
-        Require(&req, scope::ColumnSymOf(p));
-      }
+      for (const Predicate& p : n.predicates) Require(&req, p.column);
       for (const SelectItem& s : n.projections) {
-        Symbol col_sym = scope::ColumnSymOf(s);
-        if (col_sym != kSymStar) Require(&req, col_sym);
+        if (s.column != kSymStar) Require(&req, s.column);
       }
-      for (Symbol g : n.group_by_syms) Require(&req, g);
+      for (Symbol g : n.group_by) Require(&req, g);
       if (n.kind == LogicalOpKind::kJoin) {
-        Require(&req, n.left_key_sym);
-        Require(&req, n.right_key_sym);
+        Require(&req, n.left_key);
+        Require(&req, n.right_key);
       }
       for (int c : n.children) {
         const Schema& cs = plan_->node(c).schema;
         // Every operator passes the columns required of it through to the
         // child that has them, as do the columns it consumes itself.
         for (const auto& col : cs.columns) {
-          if (Contains(req, col.sym)) Require(&required[c], col.sym);
+          if (Contains(req, col.name)) Require(&required[c], col.name);
         }
         for (Symbol col : req) {
           if (cs.HasColumn(col)) Require(&required[c], col);
@@ -384,7 +365,7 @@ class Normalizer {
     // Insert pruning projects below joins/aggregates. Note: AddNode may
     // reallocate the arena, so nodes are re-fetched by id after every
     // insertion instead of held by reference.
-    std::vector<const scope::Column*> kept;
+    std::vector<const scope::BoundColumn*> kept;
     for (int id : order) {
       bool is_join = plan_->node(id).kind == LogicalOpKind::kJoin;
       bool is_agg = plan_->node(id).kind == LogicalOpKind::kAggregate;
@@ -399,7 +380,7 @@ class Normalizer {
         // `kept` points into c's schema: valid until the AddNode below.
         kept.clear();
         for (const auto& col : plan_->node(c).schema.columns) {
-          if (Contains(required[c], col.sym)) kept.push_back(&col);
+          if (Contains(required[c], col.name)) kept.push_back(&col);
         }
         if (kept.empty() ||
             kept.size() >= plan_->node(c).schema.columns.size()) {
@@ -408,7 +389,7 @@ class Normalizer {
         // Prune only when it meaningfully narrows rows; marginal projects
         // cost more CPU than the width they save.
         double kept_width = 0.0;
-        for (const scope::Column* col : kept) {
+        for (const scope::BoundColumn* col : kept) {
           kept_width += scope::ColumnTypeWidth(col->type);
         }
         if (kept_width > 0.75 * plan_->node(c).schema.RowWidthBytes()) {
@@ -419,13 +400,8 @@ class Normalizer {
         proj.children = {c};
         proj.projections.reserve(kept.size());
         proj.schema.columns.reserve(kept.size());
-        for (const scope::Column* col : kept) {
-          SelectItem item;
-          item.column = col->name;
-          item.column_sym = col->sym;
-          item.alias_sym = kSymEmpty;
-          item.out_sym = col->sym;
-          proj.projections.push_back(std::move(item));
+        for (const scope::BoundColumn* col : kept) {
+          proj.projections.push_back(SelectItem::PassThrough(col->name));
           proj.schema.columns.push_back(*col);
         }
         int proj_id = plan_->AddNode(std::move(proj));
@@ -477,18 +453,14 @@ class Normalizer {
 struct MExpr {
   LogicalOpKind kind = LogicalOpKind::kScan;
   std::vector<int> children;  ///< group ids
-  std::string table_path;
-  Symbol table_sym = kNoSymbol;
+  Symbol table_path = kSymEmpty;
   std::vector<Predicate> predicates;
   std::vector<SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::vector<Symbol> group_by_syms;
-  std::string left_key;
-  std::string right_key;
-  Symbol left_key_sym = kNoSymbol;
-  Symbol right_key_sym = kNoSymbol;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;
-  std::string output_path;
+  Symbol output_path = kSymEmpty;
   bool partial_agg = false;  ///< local pre-aggregation (eager agg)
   BitVector256 derivation;   ///< transformation rules that produced this expr
   /// Row of the search's `applied` table: a seed expr's group id, or, for
@@ -498,50 +470,33 @@ struct MExpr {
   /// group ids, so it never changes afterwards).
   uint64_t fingerprint = 0;
 
-  /// Structural identity hash over interned ids — replaces the old string
-  /// key. Field counts are chained in as separators so adjacent lists can't
-  /// alias. A 64-bit collision within one group's handful of exprs
-  /// (~2^-64 per pair) would only drop a duplicate alternative, never
-  /// corrupt a plan.
+  /// Structural identity hash over interned names and literal bytes. Field
+  /// counts are chained in as separators so adjacent lists can't alias. A
+  /// 64-bit collision within one group's handful of exprs (~2^-64 per pair)
+  /// would only drop a duplicate alternative, never corrupt a plan.
   uint64_t Fingerprint() const {
     uint64_t h = HashU64(static_cast<uint64_t>(kind), 0x9e3779b97f4a7c15ULL);
     h = HashU64(children.size(), h);
     for (int c : children) h = HashU64(static_cast<uint64_t>(c), h);
-    h = HashU64(SymOf(table_sym, table_path), h);
-    h = HashU64(SymOf(left_key_sym, left_key), h);
-    h = HashU64(SymOf(right_key_sym, right_key), h);
+    h = HashU64(table_path, h);
+    h = HashU64(left_key, h);
+    h = HashU64(right_key, h);
     h = HashU64(partial_agg ? 1 : 0, h);
     h = HashU64(predicates.size(), h);
     for (const Predicate& p : predicates) {
-      h = HashU64(scope::ColumnSymOf(p), h);
+      h = HashU64(p.column, h);
       h = HashU64(static_cast<uint64_t>(p.op), h);
-      h = HashU64(p.literal_sym != kNoSymbol ? p.literal_sym : Sym(p.literal),
-                  h);
+      h = HashString(p.literal, h);
     }
     h = HashU64(projections.size(), h);
     for (const SelectItem& s : projections) {
       h = HashU64(static_cast<uint64_t>(s.agg), h);
-      h = HashU64(scope::ColumnSymOf(s), h);
-      h = HashU64(SymOf(s.alias_sym, s.alias), h);
+      h = HashU64(s.column, h);
+      h = HashU64(s.alias, h);
     }
     h = HashU64(group_by.size(), h);
-    if (group_by_syms.size() == group_by.size()) {
-      // Maintained syms: hash in place, no temporary vector per call.
-      for (Symbol g : group_by_syms) h = HashU64(g, h);
-    } else {
-      for (const std::string& g : group_by) h = HashU64(Sym(g), h);
-    }
+    for (Symbol g : group_by) h = HashU64(g, h);
     return MixHash(h);
-  }
-
-  /// group_by as interned ids; interns lazily when the syms were not
-  /// maintained (hand-built plans in tests).
-  std::vector<Symbol> GroupBySymsResolved() const {
-    if (group_by_syms.size() == group_by.size()) return group_by_syms;
-    std::vector<Symbol> out;
-    out.reserve(group_by.size());
-    for (const std::string& g : group_by) out.push_back(Sym(g));
-    return out;
   }
 };
 
@@ -660,8 +615,6 @@ class MemoOptimizer {
     NormalizedPlan norm;
     {
       LogicalPlan plan = input;  // normalization mutates a copy
-      // Defensive for hand-built plans: no-op when the compiler interned.
-      scope::InternPlanSymbols(&plan);
       Normalizer normalizer(&plan, config_);
       norm.fired = normalizer.Run();
       norm.seed = BuildSeed(plan);
@@ -767,15 +720,11 @@ class MemoOptimizer {
     MExpr expr;
     expr.kind = n.kind;
     expr.table_path = n.table_path;
-    expr.table_sym = n.table_sym;
     expr.predicates = n.predicates;
     expr.projections = n.projections;
     expr.group_by = n.group_by;
-    expr.group_by_syms = n.group_by_syms;
     expr.left_key = n.left_key;
     expr.right_key = n.right_key;
-    expr.left_key_sym = n.left_key_sym;
-    expr.right_key_sym = n.right_key_sym;
     expr.true_fanout = n.true_fanout;
     expr.output_path = n.output_path;
     expr.children.reserve(n.children.size());
@@ -833,8 +782,7 @@ class MemoOptimizer {
     };
     switch (e.kind) {
       case LogicalOpKind::kScan: {
-        RelStats s =
-            deriver.Scan(SymOf(e.table_sym, e.table_path), SchemaOfScan(e));
+        RelStats s = deriver.Scan(e.table_path, SchemaOfScan(e));
         if (!e.predicates.empty()) s = deriver.Filter(s, e.predicates);
         return s;
       }
@@ -843,18 +791,14 @@ class MemoOptimizer {
       case LogicalOpKind::kProject:
         return deriver.Project(child(0), e.projections);
       case LogicalOpKind::kJoin:
-        return deriver.Join(child(0), child(1),
-                            SymOf(e.left_key_sym, e.left_key),
-                            SymOf(e.right_key_sym, e.right_key),
+        return deriver.Join(child(0), child(1), e.left_key, e.right_key,
                             e.true_fanout);
       case LogicalOpKind::kAggregate:
         if (e.partial_agg) {
           int parts = ChoosePartitions(child(0).rows * 64.0);
-          return deriver.PartialAggregate(child(0), e.GroupBySymsResolved(),
-                                          parts);
+          return deriver.PartialAggregate(child(0), e.group_by, parts);
         }
-        return deriver.Aggregate(child(0), e.GroupBySymsResolved(),
-                                 e.projections);
+        return deriver.Aggregate(child(0), e.group_by, e.projections);
       case LogicalOpKind::kUnionAll:
         return deriver.UnionAll(child(0), child(1));
       case LogicalOpKind::kOutput:
@@ -869,11 +813,9 @@ class MemoOptimizer {
   // append). Only seed groups are scans; no exploration derives one.
   const Schema& SchemaOfScan(const MExpr& e) const {
     static const Schema kUnknown;
-    const Symbol table = SymOf(e.table_sym, e.table_path);
     const std::vector<LogicalNode>& nodes = seed_plan_->nodes;
     for (auto it = nodes.rbegin(); it != nodes.rend(); ++it) {
-      if (it->kind == LogicalOpKind::kScan &&
-          SymOf(it->table_sym, it->table_path) == table) {
+      if (it->kind == LogicalOpKind::kScan && it->table_path == e.table_path) {
         return it->schema;
       }
     }
@@ -937,7 +879,6 @@ class MemoOptimizer {
     MExpr swapped = e;
     std::swap(swapped.children[0], swapped.children[1]);
     std::swap(swapped.left_key, swapped.right_key);
-    std::swap(swapped.left_key_sym, swapped.right_key_sym);
     // Preserve ground-truth output rows: rows = L*f = R*f'.
     double l_rows = groups_[e.children[0]].props().tru.rows;
     double r_rows = std::max(1.0, groups_[e.children[1]].props().tru.rows);
@@ -961,22 +902,14 @@ class MemoOptimizer {
       int a_gid = j2.children[0];
       int b_gid = j2.children[1];
       // The key joining to C must come from B.
-      if (!groups_[b_gid].props().schema->HasColumn(
-              SymOf(e.left_key_sym, e.left_key))) {
-        continue;
-      }
-      if (!groups_[a_gid].props().schema->HasColumn(
-              SymOf(j2.left_key_sym, j2.left_key))) {
-        continue;
-      }
+      if (!groups_[b_gid].props().schema->HasColumn(e.left_key)) continue;
+      if (!groups_[a_gid].props().schema->HasColumn(j2.left_key)) continue;
       // inner = B join C.
       MExpr inner;
       inner.kind = LogicalOpKind::kJoin;
       inner.children = {b_gid, e.children[1]};
       inner.left_key = e.left_key;
       inner.right_key = e.right_key;
-      inner.left_key_sym = e.left_key_sym;
-      inner.right_key_sym = e.right_key_sym;
       inner.true_fanout = e.true_fanout;
       inner.derivation = e.derivation | j2.derivation;
       inner.derivation.Set(rules::kJoinAssociativity);
@@ -990,8 +923,6 @@ class MemoOptimizer {
       outer.children = {a_gid, inner_gid};
       outer.left_key = j2.left_key;
       outer.right_key = j2.right_key;
-      outer.left_key_sym = j2.left_key_sym;
-      outer.right_key_sym = j2.right_key_sym;
       outer.true_fanout = j2.true_fanout * e.true_fanout;
       outer.derivation = e.derivation | j2.derivation;
       outer.derivation.Set(rules::kJoinAssociativity);
@@ -1012,25 +943,20 @@ class MemoOptimizer {
     if (AlreadyApplied(gid, i, tx)) return;
     MarkApplied(gid, i, tx);
     const MExpr& e = *groups_[gid].exprs[i];
-    std::vector<Symbol> e_group_syms = e.GroupBySymsResolved();
     int child_gid = e.children[0];
     for (const MExpr* joinp : CollectPatternExprs(child_gid,
                                                   LogicalOpKind::kJoin)) {
       const MExpr& join = *joinp;
       int side_gid = join.children[left_side ? 0 : 1];
       const Schema& side_schema = *groups_[side_gid].props().schema;
-      const std::string& join_key = left_side ? join.left_key : join.right_key;
-      Symbol join_key_sym = left_side ? SymOf(join.left_key_sym, join.left_key)
-                                      : SymOf(join.right_key_sym,
-                                              join.right_key);
+      const Symbol join_key = left_side ? join.left_key : join.right_key;
       // All grouping keys and aggregate inputs must come from this side.
       bool applicable = true;
-      for (Symbol g : e_group_syms) {
+      for (Symbol g : e.group_by) {
         if (!side_schema.HasColumn(g)) applicable = false;
       }
       for (const SelectItem& item : e.projections) {
-        Symbol col_sym = scope::ColumnSymOf(item);
-        if (col_sym != kSymStar && !side_schema.HasColumn(col_sym)) {
+        if (item.column != kSymStar && !side_schema.HasColumn(item.column)) {
           applicable = false;
         }
       }
@@ -1041,27 +967,22 @@ class MemoOptimizer {
       partial.partial_agg = true;
       partial.children = {side_gid};
       partial.group_by = e.group_by;
-      partial.group_by_syms = e_group_syms;
       bool key_in_groups = false;
-      for (Symbol g : e_group_syms) {
-        if (g == join_key_sym) key_in_groups = true;
+      for (Symbol g : e.group_by) {
+        if (g == join_key) key_in_groups = true;
       }
-      if (!key_in_groups) {
-        partial.group_by.push_back(join_key);
-        partial.group_by_syms.push_back(join_key_sym);
-      }
+      if (!key_in_groups) partial.group_by.push_back(join_key);
       partial.projections = e.projections;
       partial.derivation = e.derivation | join.derivation;
       partial.derivation.Set(rule);
       Schema partial_schema;
       for (const auto& col : side_schema.columns) {
-        Symbol col_sym = SymOf(col.sym, col.name);
-        bool keep = col_sym == join_key_sym;
-        for (Symbol g : e_group_syms) {
-          if (g == col_sym) keep = true;
+        bool keep = col.name == join_key;
+        for (Symbol g : e.group_by) {
+          if (g == col.name) keep = true;
         }
         for (const SelectItem& item : e.projections) {
-          if (scope::ColumnSymOf(item) == col_sym) keep = true;
+          if (item.column == col.name) keep = true;
         }
         if (keep) partial_schema.columns.push_back(col);
       }
@@ -1118,7 +1039,7 @@ class MemoOptimizer {
   static Schema ConcatSchemas(const Schema& l, const Schema& r) {
     Schema out = l;
     for (const auto& c : r.columns) {
-      if (!out.HasColumn(SymOf(c.sym, c.name))) out.columns.push_back(c);
+      if (!out.HasColumn(c.name)) out.columns.push_back(c);
     }
     return out;
   }
@@ -1128,8 +1049,8 @@ class MemoOptimizer {
   static bool IsPureProject(const MExpr& e) {
     if (e.kind != LogicalOpKind::kProject) return false;
     for (const SelectItem& item : e.projections) {
-      if (item.agg != scope::AggFunc::kNone || !item.alias.empty() ||
-          item.column == "*") {
+      if (item.agg != scope::AggFunc::kNone || item.alias != kSymEmpty ||
+          item.column == kSymStar) {
         return false;
       }
     }
@@ -1229,7 +1150,7 @@ class MemoOptimizer {
     node.local_cost =
         cost_model_.LocalCost(node, std::span(child_rows.data(), n),
                               std::span(child_bytes.data(), n));
-    payload_.push_back({&expr, nullptr});
+    payload_.push_back({&expr, kSymEmpty});
     return scratch_.AddNode(std::move(node));
   }
 
@@ -1240,7 +1161,7 @@ class MemoOptimizer {
     const PhysicalNode& child = scratch_.node(input_phys);
     PhysOpKind kind;
     int partitions;
-    const std::string* key = nullptr;
+    Symbol key = kSymEmpty;
     switch (prop.kind) {
       case PhysProp::Kind::kHash:
         if (!config_.IsEnabled(rules::kExchangeShuffleImpl)) return -1;
@@ -1310,8 +1231,7 @@ class MemoOptimizer {
         // Parallelism follows the bytes the scan *reads* (the full table),
         // not its possibly-filtered output.
         double table_bytes = est_rows * schema->RowWidthBytes();
-        auto table_stats = catalog_.Lookup(SymOf(expr.table_sym,
-                                                 expr.table_path));
+        auto table_stats = catalog_.Lookup(expr.table_path);
         if (table_stats.ok()) {
           table_bytes = table_stats.value()->est_bytes();
         }
@@ -1344,16 +1264,15 @@ class MemoOptimizer {
           // Translate the key through the projection.
           const SelectItem* source = nullptr;
           for (const SelectItem& item : expr.projections) {
-            if (scope::OutputSymOf(item) == child_req.key_sym &&
+            if (item.output == child_req.key &&
                 item.agg == scope::AggFunc::kNone) {
               source = &item;
             }
           }
-          if (source == nullptr || source->column.empty()) {
+          if (source == nullptr || source->column == kSymEmpty) {
             child_req = PhysProp::Any();  // fall back to enforcer above
           } else {
-            child_req.key = &source->column;
-            child_req.key_sym = scope::ColumnSymOf(*source);
+            child_req.key = source->column;
           }
         }
         Winner child = OptimizeGroup(expr.children[0], child_req, depth + 1);
@@ -1433,20 +1352,15 @@ class MemoOptimizer {
     const double est_rows = group.est.rows;
     const double tru_rows = group.tru.rows;
 
-    Symbol left_key_sym = SymOf(expr.left_key_sym, expr.left_key);
-    Symbol right_key_sym = SymOf(expr.right_key_sym, expr.right_key);
-
     // Hash join: shuffle both sides on the join keys.
     auto shuffled_join = [&](PhysOpKind kind, int impl_rule) {
       if (!config_.IsEnabled(impl_rule)) return;
       Winner l = OptimizeGroup(expr.children[0],
-                               PhysProp::Hash(expr.left_key, left_key_sym),
-                               depth + 1);
+                               PhysProp::Hash(expr.left_key), depth + 1);
       Winner r = OptimizeGroup(expr.children[1],
-                               PhysProp::Hash(expr.right_key, right_key_sym),
-                               depth + 1);
+                               PhysProp::Hash(expr.right_key), depth + 1);
       if (!l.feasible || !r.feasible) return;
-      PhysProp delivered = PhysProp::Hash(expr.left_key, left_key_sym);
+      PhysProp delivered = PhysProp::Hash(expr.left_key);
       if (!required.SatisfiedBy(delivered)) return;
       Winner w;
       w.feasible = true;
@@ -1529,15 +1443,9 @@ class MemoOptimizer {
     }
 
     const bool global = expr.group_by.empty();
-    Symbol key_sym =
-        global ? kSymEmpty
-               : (expr.group_by_syms.size() == expr.group_by.size()
-                      ? expr.group_by_syms[0]
-                      : Sym(expr.group_by[0]));
-    PhysProp agg_req = global ? PhysProp::Singleton()
-                              : PhysProp::Hash(expr.group_by[0], key_sym);
-    PhysProp delivered = global ? PhysProp::Singleton()
-                                : PhysProp::Hash(expr.group_by[0], key_sym);
+    const PhysProp delivered = global ? PhysProp::Singleton()
+                                      : PhysProp::Hash(expr.group_by[0]);
+    const PhysProp& agg_req = delivered;
 
     // Single-phase hash aggregation: shuffle raw rows to the group keys.
     if (config_.IsEnabled(rules::kHashAggImpl) &&
@@ -1584,20 +1492,17 @@ class MemoOptimizer {
                                    depth + 1);
       if (!child.feasible) return;
       int child_parts = scratch_.node(child.phys).partitions;
-      std::vector<Symbol> group_syms = expr.GroupBySymsResolved();
       const double partial_est_rows = est_.PartialAggregateRows(
-          groups_[expr.children[0]].props().est, group_syms, child_parts);
+          groups_[expr.children[0]].props().est, expr.group_by, child_parts);
       const double partial_tru_rows = tru_.PartialAggregateRows(
-          groups_[expr.children[0]].props().tru, group_syms, child_parts);
+          groups_[expr.children[0]].props().tru, expr.group_by, child_parts);
       BitVector256 rules_used = child.rules | expr.derivation;
       rules_used.Set(rules::kTwoPhaseAggregation);
       rules_used.Set(rules::kHashAggImpl);
       int partial = MakePhysNode(PhysOpKind::kPartialHashAgg, expr,
                                  {child.phys}, partial_est_rows,
                                  partial_tru_rows, child_parts, schema);
-      PhysProp move_prop = global ? PhysProp::Singleton()
-                                  : PhysProp::Hash(expr.group_by[0], key_sym);
-      int exchange = MakeExchange(partial, move_prop, &rules_used);
+      int exchange = MakeExchange(partial, delivered, &rules_used);
       if (exchange < 0) return;
       int final_parts = scratch_.node(exchange).partitions;
       int final_agg = MakePhysNode(PhysOpKind::kHashAgg, expr,
@@ -1663,8 +1568,8 @@ class MemoOptimizer {
       node.right_key = src->right_key;
       node.true_fanout = src->true_fanout;
       node.output_path = src->output_path;
-    } else if (payload.exchange_key != nullptr) {
-      node.exchange_key = *payload.exchange_key;
+    } else {
+      node.exchange_key = payload.exchange_key;
     }
     *total += node.local_cost;
     const int nid = out->AddNode(std::move(node));
@@ -1694,10 +1599,10 @@ class MemoOptimizer {
   /// Every candidate the search costs; Compact moves the winners out.
   PhysicalPlan scratch_;
   /// Where Compact finds each scratch node's payload: the MExpr it
-  /// implements, or, for an exchange, its key (null when it has none).
+  /// implements, or, for an exchange, its key (kSymEmpty when it has none).
   struct Payload {
     const MExpr* expr;
-    const std::string* exchange_key;
+    Symbol exchange_key;
   };
   std::vector<Payload> payload_;
   /// The normalized plan BuildSeed is reading (null otherwise).

@@ -105,18 +105,18 @@ std::string PhysicalPlan::ToString() const {
     out += std::to_string(n.id);
     if (n.kind == PhysOpKind::kScan) {
       out += ' ';
-      out += n.table_path;
+      out += SymName(n.table_path);
     }
     if (n.kind == PhysOpKind::kExchangeShuffle) {
       out += " by ";
-      out += n.exchange_key;
+      out += SymName(n.exchange_key);
     }
     if (n.kind == PhysOpKind::kHashJoin || n.kind == PhysOpKind::kMergeJoin ||
         n.kind == PhysOpKind::kBroadcastJoin) {
       out += " on ";
-      out += n.left_key;
+      out += SymName(n.left_key);
       out += "==";
-      out += n.right_key;
+      out += SymName(n.right_key);
     }
     out += " [rows=";
     out += std::to_string(static_cast<long long>(n.est_rows));

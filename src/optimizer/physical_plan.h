@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
-#include "scope/ast.h"
+#include "scope/logical_plan.h"
 #include "scope/types.h"
 
 namespace qo::exec {
@@ -61,16 +61,16 @@ struct PhysicalNode {
   /// tolerate null (an absent schema means width 0).
   std::shared_ptr<const scope::Schema> schema;
 
-  // Payload (meaningful per kind).
-  std::string table_path;
-  std::vector<scope::Predicate> predicates;
-  std::vector<scope::SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::string left_key;
-  std::string right_key;
+  // Payload (meaningful per kind; names are interned, kSymEmpty if unused).
+  Symbol table_path = kSymEmpty;
+  std::vector<scope::BoundPredicate> predicates;
+  std::vector<scope::BoundSelectItem> projections;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;  ///< ground-truth join fanout (simulator only)
-  std::string output_path;
-  std::string exchange_key;
+  Symbol output_path = kSymEmpty;
+  Symbol exchange_key = kSymEmpty;
 
   // Compile-time annotations.
   double est_rows = 0.0;

@@ -50,10 +50,6 @@ std::string SelectItem::OutputName() const {
   return column;
 }
 
-Symbol OutputSymOf(const SelectItem& item) {
-  return item.out_sym != kNoSymbol ? item.out_sym : Sym(item.OutputName());
-}
-
 std::string SelectItem::ToString() const {
   std::string out;
   if (agg != AggFunc::kNone) {

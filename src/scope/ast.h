@@ -3,6 +3,8 @@
 // A script ("job") is a sequence of statements. Rowset-producing statements
 // bind a name that later statements can reference, which is how multiple SQL
 // statements are stitched into a single operator DAG by the compiler.
+// Every name in the AST is text: the parser interns nothing, and the compiler
+// (compiler.cc) interns names as it binds them into the logical plan.
 //
 // Grammar sketch (see parser.cc for the full recursive-descent grammar):
 //
@@ -60,9 +62,6 @@ struct Predicate {
   /// Ground-truth fraction of rows passing; < 0 means unknown (the simulator
   /// falls back to catalog heuristics).
   double true_selectivity = -1.0;
-  /// Interned ids of column/literal; filled by InternPlanSymbols.
-  Symbol column_sym = kNoSymbol;
-  Symbol literal_sym = kNoSymbol;
 
   std::string ToString() const;
 };
@@ -74,26 +73,10 @@ struct SelectItem {
   AggFunc agg = AggFunc::kNone;
   std::string column;
   std::string alias;  ///< empty = inherit column name
-  /// Interned ids (InternPlanSymbols): `column`, `alias` (empty -> kSymEmpty)
-  /// and the precomputed OutputName(), so hot-path name matching is an
-  /// integer compare.
-  Symbol column_sym = kNoSymbol;
-  Symbol alias_sym = kNoSymbol;
-  Symbol out_sym = kNoSymbol;
 
   std::string OutputName() const;
   std::string ToString() const;
 };
-
-/// Lazy-intern accessors: use the precomputed id when the intern pass ran,
-/// otherwise fall back to interning the string (hand-built AST in tests).
-inline Symbol ColumnSymOf(const SelectItem& item) {
-  return item.column_sym != kNoSymbol ? item.column_sym : Sym(item.column);
-}
-Symbol OutputSymOf(const SelectItem& item);  // intern of OutputName()
-inline Symbol ColumnSymOf(const Predicate& pred) {
-  return pred.column_sym != kNoSymbol ? pred.column_sym : Sym(pred.column);
-}
 
 /// Equi-join clause: `JOIN <rowset> ON <left_col> == <right_col> [@ fanout]`.
 /// The optional `@ fanout` annotation records the ground-truth join fanout

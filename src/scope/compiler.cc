@@ -8,6 +8,14 @@ namespace qo::scope {
 
 namespace {
 
+/// The symbol of a name a statement references. A name that was never
+/// interned is in no schema, so a probe that misses (kNoSymbol) fails the
+/// schema lookup like any unknown column, and rejected scripts never grow
+/// the symbol table.
+Symbol Ref(const std::string& name) {
+  return SymbolTable::Global().Find(name);
+}
+
 class Compiler {
  public:
   Compiler(const Script& script, const Catalog& catalog)
@@ -64,8 +72,11 @@ class Compiler {
     }
     LogicalNode node;
     node.kind = LogicalOpKind::kScan;
-    node.table_path = ex.input_path;
-    node.schema.columns = ex.columns;
+    node.table_path = Sym(ex.input_path);
+    node.schema.columns.reserve(ex.columns.size());
+    for (const Column& c : ex.columns) {
+      node.schema.columns.push_back(BoundColumn{Sym(c.name), c.type});
+    }
     int id = plan_.AddNode(std::move(node));
     return Bind(ex.target, id, stmt.line);
   }
@@ -95,7 +106,7 @@ class Compiler {
     node.kind = LogicalOpKind::kOutput;
     node.children = {src};
     node.schema = plan_.node(src).schema;
-    node.output_path = out.output_path;
+    node.output_path = Sym(out.output_path);
     plan_.roots.push_back(plan_.AddNode(std::move(node)));
     return Status::OK();
   }
@@ -109,12 +120,14 @@ class Compiler {
       QO_ASSIGN_OR_RETURN(int right, Resolve(jc.rowset, stmt.line));
       const Schema& ls = plan_.node(current).schema;
       const Schema& rs = plan_.node(right).schema;
-      if (!ls.HasColumn(jc.left_column)) {
+      const Symbol left_key = Ref(jc.left_column);
+      const Symbol right_key = Ref(jc.right_column);
+      if (!ls.HasColumn(left_key)) {
         return Status::CompileError("join key '" + jc.left_column +
                                     "' not found on left side at line " +
                                     std::to_string(stmt.line));
       }
-      if (!rs.HasColumn(jc.right_column)) {
+      if (!rs.HasColumn(right_key)) {
         return Status::CompileError("join key '" + jc.right_column +
                                     "' not found on right side at line " +
                                     std::to_string(stmt.line));
@@ -122,11 +135,11 @@ class Compiler {
       LogicalNode join;
       join.kind = LogicalOpKind::kJoin;
       join.children = {current, right};
-      join.left_key = jc.left_column;
-      join.right_key = jc.right_column;
+      join.left_key = left_key;
+      join.right_key = right_key;
       join.true_fanout = jc.true_fanout;
       join.schema = ls;
-      for (const Column& c : rs.columns) {
+      for (const BoundColumn& c : rs.columns) {
         if (!join.schema.HasColumn(c.name)) join.schema.columns.push_back(c);
       }
       current = plan_.AddNode(std::move(join));
@@ -135,17 +148,20 @@ class Compiler {
     // WHERE.
     if (!sel.where.empty()) {
       const Schema& schema = plan_.node(current).schema;
+      LogicalNode filter;
+      filter.predicates.reserve(sel.where.size());
       for (const Predicate& p : sel.where) {
-        if (!schema.HasColumn(p.column)) {
+        const Symbol column = Ref(p.column);
+        if (!schema.HasColumn(column)) {
           return Status::CompileError("predicate column '" + p.column +
                                       "' not found at line " +
                                       std::to_string(stmt.line));
         }
+        filter.predicates.push_back(
+            BoundPredicate{column, p.op, p.literal, p.true_selectivity});
       }
-      LogicalNode filter;
       filter.kind = LogicalOpKind::kFilter;
       filter.children = {current};
-      filter.predicates = sel.where;
       filter.schema = plan_.node(current).schema;
       current = plan_.AddNode(std::move(filter));
     }
@@ -172,23 +188,24 @@ class Compiler {
     proj.children = {child};
     for (const SelectItem& item : sel.items) {
       if (item.column == "*") {
-        for (const Column& c : in.columns) {
+        for (const BoundColumn& c : in.columns) {
           proj.schema.columns.push_back(c);
-          SelectItem pass;
-          pass.column = c.name;
-          proj.projections.push_back(pass);
+          proj.projections.push_back(BoundSelectItem::PassThrough(c.name));
         }
         continue;
       }
-      int idx = in.FindColumn(item.column);
+      const Symbol column = Ref(item.column);
+      int idx = in.FindColumn(column);
       if (idx < 0) {
         return Status::CompileError("projected column '" + item.column +
                                     "' not found at line " +
                                     std::to_string(line));
       }
+      BoundSelectItem bound = BoundSelectItem::PassThrough(column);
+      if (!item.alias.empty()) bound.alias = bound.output = Sym(item.alias);
       proj.schema.columns.push_back(
-          Column{item.OutputName(), in.columns[static_cast<size_t>(idx)].type});
-      proj.projections.push_back(item);
+          BoundColumn{bound.output, in.columns[static_cast<size_t>(idx)].type});
+      proj.projections.push_back(bound);
     }
     return plan_.AddNode(std::move(proj));
   }
@@ -198,15 +215,17 @@ class Compiler {
     LogicalNode agg;
     agg.kind = LogicalOpKind::kAggregate;
     agg.children = {child};
-    agg.group_by = sel.group_by;
+    agg.group_by.reserve(sel.group_by.size());
     for (const std::string& g : sel.group_by) {
-      int idx = in.FindColumn(g);
+      const Symbol key = Ref(g);
+      int idx = in.FindColumn(key);
       if (idx < 0) {
         return Status::CompileError("GROUP BY column '" + g +
                                     "' not found at line " +
                                     std::to_string(line));
       }
       agg.schema.columns.push_back(in.columns[static_cast<size_t>(idx)]);
+      agg.group_by.push_back(key);
     }
     for (const SelectItem& item : sel.items) {
       if (item.agg == AggFunc::kNone) {
@@ -226,18 +245,23 @@ class Compiler {
         }
         continue;  // already in schema via group_by
       }
+      BoundSelectItem bound;
+      bound.agg = item.agg;
+      bound.column = kSymStar;
       if (item.column != "*") {
-        int idx = in.FindColumn(item.column);
-        if (idx < 0) {
+        bound.column = Ref(item.column);
+        if (!in.HasColumn(bound.column)) {
           return Status::CompileError("aggregated column '" + item.column +
                                       "' not found at line " +
                                       std::to_string(line));
         }
       }
+      bound.output = Sym(item.OutputName());  // the alias, if there is one
+      if (!item.alias.empty()) bound.alias = bound.output;
       ColumnType out_type = ColumnType::kDouble;
       if (item.agg == AggFunc::kCount) out_type = ColumnType::kLong;
-      agg.schema.columns.push_back(Column{item.OutputName(), out_type});
-      agg.projections.push_back(item);
+      agg.schema.columns.push_back(BoundColumn{bound.output, out_type});
+      agg.projections.push_back(bound);
     }
     if (agg.projections.empty() && agg.group_by.empty()) {
       return Status::CompileError("aggregate with no keys or functions");
@@ -256,11 +280,7 @@ class Compiler {
 Result<LogicalPlan> CompileScript(const Script& script,
                                   const Catalog& catalog) {
   Compiler compiler(script, catalog);
-  auto plan = compiler.Compile();
-  // Intern once per compile so every downstream consumer (optimizer,
-  // cardinality, caches) works with integer ids.
-  if (plan.ok()) InternPlanSymbols(&plan.value());
-  return plan;
+  return compiler.Compile();
 }
 
 Result<LogicalPlan> CompileSource(const std::string& source,

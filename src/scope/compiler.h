@@ -18,7 +18,11 @@ namespace qo::scope {
 ///    consumed by several statements),
 ///  - check every EXTRACT path against the catalog,
 ///  - derive schemas bottom-up and reject references to unknown columns,
-///  - synthesize Filter / Project / Aggregate nodes from SELECT clauses.
+///  - synthesize Filter / Project / Aggregate nodes from SELECT clauses,
+///  - bind names: the one place where the names of a script are interned.
+///    Definitions (EXTRACT columns, output names, paths) are interned;
+///    references are resolved with SymbolTable::Find, so a rejected script
+///    grows the symbol table by no more than the names it defines.
 ///
 /// Returns CompileError for semantic errors (unknown rowset, unknown column,
 /// aggregate misuse, missing OUTPUT, ...).

@@ -24,34 +24,30 @@ const char* LogicalOpKindToString(LogicalOpKind k) {
   return "Unknown";
 }
 
-void InternSelectItem(SelectItem* item) {
-  item->column_sym = Sym(item->column);
-  item->alias_sym = Sym(item->alias);
-  // OutputName() is alias / "AGG_column" / column; precompute its id so the
-  // optimizer's name matching is a single integer compare.
-  item->out_sym =
-      item->alias.empty() && item->agg != AggFunc::kNone
-          ? Sym(item->OutputName())
-          : (item->alias.empty() ? item->column_sym : item->alias_sym);
+std::string BoundPredicate::ToString() const {
+  std::string out = SymName(column);
+  out += ' ';
+  out += CompareOpToString(op);
+  out += ' ';
+  out += literal;
+  return out;
 }
 
-void InternPlanSymbols(LogicalPlan* plan) {
-  if (plan->symbols_interned) return;
-  for (LogicalNode& n : plan->nodes) {
-    n.table_sym = Sym(n.table_path);
-    n.left_key_sym = Sym(n.left_key);
-    n.right_key_sym = Sym(n.right_key);
-    n.group_by_syms.clear();
-    n.group_by_syms.reserve(n.group_by.size());
-    for (const std::string& g : n.group_by) n.group_by_syms.push_back(Sym(g));
-    for (Column& c : n.schema.columns) c.sym = Sym(c.name);
-    for (Predicate& p : n.predicates) {
-      p.column_sym = Sym(p.column);
-      p.literal_sym = Sym(p.literal);
-    }
-    for (SelectItem& item : n.projections) InternSelectItem(&item);
+std::string BoundSelectItem::ToString() const {
+  std::string out;
+  if (agg != AggFunc::kNone) {
+    out = AggFuncToString(agg);
+    out += '(';
+    out += SymName(column);
+    out += ')';
+  } else {
+    out = SymName(column);
   }
-  plan->symbols_interned = true;
+  if (alias != kSymEmpty) {
+    out += " AS ";
+    out += SymName(alias);
+  }
+  return out;
 }
 
 std::vector<int> LogicalPlan::FanOut() const {
@@ -73,7 +69,7 @@ std::string LogicalPlan::ToString() const {
     switch (n.kind) {
       case LogicalOpKind::kScan:
         out += ' ';
-        out += n.table_path;
+        out += SymName(n.table_path);
         break;
       case LogicalOpKind::kFilter: {
         out += " [";
@@ -86,22 +82,22 @@ std::string LogicalPlan::ToString() const {
       }
       case LogicalOpKind::kJoin:
         out += " on ";
-        out += n.left_key;
+        out += SymName(n.left_key);
         out += "==";
-        out += n.right_key;
+        out += SymName(n.right_key);
         break;
       case LogicalOpKind::kAggregate: {
         out += " by(";
         for (size_t i = 0; i < n.group_by.size(); ++i) {
           if (i > 0) out += ",";
-          out += n.group_by[i];
+          out += SymName(n.group_by[i]);
         }
         out += ")";
         break;
       }
       case LogicalOpKind::kOutput:
         out += " -> ";
-        out += n.output_path;
+        out += SymName(n.output_path);
         break;
       default:
         break;

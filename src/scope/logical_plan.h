@@ -26,6 +26,36 @@ enum class LogicalOpKind {
 
 const char* LogicalOpKindToString(LogicalOpKind k);
 
+/// A bound WHERE conjunct `column <op> literal`. The column is interned; the
+/// literal is a value, not a name, so it stays text.
+struct BoundPredicate {
+  Symbol column = kSymEmpty;
+  CompareOp op = CompareOp::kEq;
+  std::string literal;
+  /// Ground-truth fraction of rows passing; < 0 means unknown.
+  double true_selectivity = -1.0;
+
+  std::string ToString() const;
+};
+
+/// A bound SELECT item. `column` is kSymStar for COUNT(*), `alias` is
+/// kSymEmpty when the item inherits its name, and `output` is the item's
+/// output column name (SelectItem::OutputName), so name matching is one
+/// integer compare.
+struct BoundSelectItem {
+  AggFunc agg = AggFunc::kNone;
+  Symbol column = kSymEmpty;
+  Symbol alias = kSymEmpty;
+  Symbol output = kSymEmpty;
+
+  /// A plain reference that keeps the column's name.
+  static BoundSelectItem PassThrough(Symbol column) {
+    return {AggFunc::kNone, column, kSymEmpty, column};
+  }
+
+  std::string ToString() const;
+};
+
 /// One logical operator. Payload fields are meaningful per kind:
 ///  - kScan:      table_path, (schema = extracted columns), predicates may be
 ///                pushed into the scan by the optimizer.
@@ -34,36 +64,27 @@ const char* LogicalOpKindToString(LogicalOpKind k);
 ///  - kJoin:      left_key / right_key (equi-join columns)
 ///  - kAggregate: group_by + projections (agg items)
 ///  - kOutput:    output_path
+/// Every name is an interned Symbol; kSymEmpty marks an unused one.
 struct LogicalNode {
   int id = -1;
   LogicalOpKind kind = LogicalOpKind::kScan;
   std::vector<int> children;
   Schema schema;
 
-  std::string table_path;
-  std::vector<Predicate> predicates;
-  std::vector<SelectItem> projections;
-  std::vector<std::string> group_by;
-  std::string left_key;
-  std::string right_key;
+  Symbol table_path = kSymEmpty;
+  std::vector<BoundPredicate> predicates;
+  std::vector<BoundSelectItem> projections;
+  std::vector<Symbol> group_by;
+  Symbol left_key = kSymEmpty;
+  Symbol right_key = kSymEmpty;
   double true_fanout = 1.0;  ///< ground-truth join fanout (simulator only)
-  std::string output_path;
-
-  /// Interned ids of the string payloads above, filled by InternPlanSymbols.
-  /// The strings stay authoritative for rendering/diagnostics; the optimizer
-  /// hot path reads only the ids.
-  Symbol table_sym = kNoSymbol;
-  Symbol left_key_sym = kNoSymbol;
-  Symbol right_key_sym = kNoSymbol;
-  std::vector<Symbol> group_by_syms;
+  Symbol output_path = kSymEmpty;
 };
 
 /// Arena-allocated logical DAG. Node ids index into `nodes`.
 struct LogicalPlan {
   std::vector<LogicalNode> nodes;
   std::vector<int> roots;  ///< ids of kOutput nodes, in script order
-  /// Set by InternPlanSymbols; lets repeated intern passes return early.
-  bool symbols_interned = false;
 
   /// Appends a node, assigning its id. Children must already exist.
   int AddNode(LogicalNode&& node) {
@@ -82,15 +103,6 @@ struct LogicalPlan {
   /// Multi-line indented dump for debugging / golden tests.
   std::string ToString() const;
 };
-
-/// Fills every Symbol field in the plan (node payloads, schema columns,
-/// predicates, projections) from the global SymbolTable. Idempotent and
-/// cheap on re-entry; the compiler runs it once per compiled script and the
-/// optimizer runs it defensively on hand-built plans.
-void InternPlanSymbols(LogicalPlan* plan);
-
-/// Interns the Symbol fields of one SelectItem in place.
-void InternSelectItem(SelectItem* item);
 
 }  // namespace qo::scope
 

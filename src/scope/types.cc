@@ -55,7 +55,7 @@ std::string Schema::ToString() const {
   std::string out = "(";
   for (size_t i = 0; i < columns.size(); ++i) {
     if (i > 0) out += ", ";
-    out += columns[i].name;
+    out += SymName(columns[i].name);
     out += ":";
     out += ColumnTypeToString(columns[i].type);
   }

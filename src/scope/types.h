@@ -28,41 +28,39 @@ bool ParseColumnType(const std::string& name, ColumnType* out);
 /// Typical serialized width in bytes, used by the statistics layer.
 int ColumnTypeWidth(ColumnType t);
 
-/// A named, typed column.
+/// A named, typed column as a script declares it (EXTRACT lists) and as the
+/// workload generator renders it: text, like the rest of the AST.
 struct Column {
   std::string name;
   ColumnType type = ColumnType::kString;
-  /// Interned id of `name`; filled by InternPlanSymbols (see logical_plan.h).
-  /// Excluded from equality: it is derived from `name`.
-  Symbol sym = kNoSymbol;
 
   bool operator==(const Column& o) const {
     return name == o.name && type == o.type;
   }
 };
 
-/// Ordered list of columns carried by a rowset.
-struct Schema {
-  std::vector<Column> columns;
+/// A column of a bound schema: the binder interned its name.
+struct BoundColumn {
+  Symbol name = kSymEmpty;
+  ColumnType type = ColumnType::kString;
 
-  int FindColumn(const std::string& name) const {
+  bool operator==(const BoundColumn& o) const {
+    return name == o.name && type == o.type;
+  }
+};
+
+/// Ordered list of columns carried by a rowset. Lookups compare interned
+/// names, so a name that was never interned (kNoSymbol) is in no schema.
+struct Schema {
+  std::vector<BoundColumn> columns;
+
+  int FindColumn(Symbol name) const {
     for (size_t i = 0; i < columns.size(); ++i) {
       if (columns[i].name == name) return static_cast<int>(i);
     }
     return -1;
   }
-  bool HasColumn(const std::string& name) const {
-    return FindColumn(name) >= 0;
-  }
-  /// Interned-id variants: integer compares, no string traffic. Only valid
-  /// on schemas that went through InternPlanSymbols (col.sym filled).
-  int FindColumn(Symbol sym) const {
-    for (size_t i = 0; i < columns.size(); ++i) {
-      if (columns[i].sym == sym) return static_cast<int>(i);
-    }
-    return -1;
-  }
-  bool HasColumn(Symbol sym) const { return FindColumn(sym) >= 0; }
+  bool HasColumn(Symbol name) const { return FindColumn(name) >= 0; }
   size_t size() const { return columns.size(); }
 
   /// Sum of per-column type widths: the average row length implied by types.

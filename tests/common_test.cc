@@ -347,14 +347,6 @@ TEST(SymbolTableTest, ResolveRoundTripsManySymbols) {
   }
 }
 
-TEST(SymbolTableTest, SymOfPrefersResolvedSymbol) {
-  // SymOf is the lazy-intern helper structures use for fields that may not
-  // have been interned yet (hand-built plans in tests).
-  Symbol a = Sym("already_interned");
-  EXPECT_EQ(SymOf(a, "ignored_text"), a);
-  EXPECT_EQ(SymOf(kNoSymbol, "already_interned"), a);
-}
-
 TEST(SymbolTableTest, ConcurrentInternsAgree) {
   // Racing interns of the same strings must converge to one id per string
   // (double-checked insert), and every returned id must resolve back.

@@ -113,8 +113,8 @@ scope::Catalog CardCatalog() {
 
 scope::Schema CardSchema() {
   scope::Schema s;
-  s.columns = {{"k", scope::ColumnType::kLong},
-               {"v", scope::ColumnType::kDouble}};
+  s.columns = {{Sym("k"), scope::ColumnType::kLong},
+               {Sym("v"), scope::ColumnType::kDouble}};
   return s;
 }
 
@@ -122,20 +122,20 @@ TEST(CardinalityTest, ScanUsesModeSpecificRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  EXPECT_DOUBLE_EQ(est.Scan("t", CardSchema()).rows, 5000);
-  EXPECT_DOUBLE_EQ(tru.Scan("t", CardSchema()).rows, 10000);
-  EXPECT_DOUBLE_EQ(est.Scan("t", CardSchema()).NdvOf("k"), 80);
-  EXPECT_DOUBLE_EQ(tru.Scan("t", CardSchema()).NdvOf("k"), 100);
+  EXPECT_DOUBLE_EQ(est.Scan(Sym("t"), CardSchema()).rows, 5000);
+  EXPECT_DOUBLE_EQ(tru.Scan(Sym("t"), CardSchema()).rows, 10000);
+  EXPECT_DOUBLE_EQ(est.Scan(Sym("t"), CardSchema()).NdvOf(Sym("k")), 80);
+  EXPECT_DOUBLE_EQ(tru.Scan(Sym("t"), CardSchema()).NdvOf(Sym("k")), 100);
 }
 
 TEST(CardinalityTest, FilterTrueModeUsesAnnotation) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  RelStats in_est = est.Scan("t", CardSchema());
-  RelStats in_tru = tru.Scan("t", CardSchema());
-  scope::Predicate pred;
-  pred.column = "k";
+  RelStats in_est = est.Scan(Sym("t"), CardSchema());
+  RelStats in_tru = tru.Scan(Sym("t"), CardSchema());
+  scope::BoundPredicate pred;
+  pred.column = Sym("k");
   pred.op = scope::CompareOp::kEq;
   pred.literal = "5";
   pred.true_selectivity = 0.5;
@@ -147,10 +147,10 @@ TEST(CardinalityTest, FilterTrueModeUsesAnnotation) {
 TEST(CardinalityTest, FilterHeuristicsByOperator) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
+  RelStats in = est.Scan(Sym("t"), CardSchema());
   auto sel_of = [&](scope::CompareOp op) {
-    scope::Predicate p;
-    p.column = "k";
+    scope::BoundPredicate p;
+    p.column = Sym("k");
     p.op = op;
     p.literal = "1";
     return est.PredicateSelectivity(p, in);
@@ -164,11 +164,11 @@ TEST(CardinalityTest, JoinEstimateVsTrueFanout) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
   StatsDeriver tru(catalog, StatsMode::kTrue);
-  RelStats l_est = est.Scan("t", CardSchema());
-  RelStats l_tru = tru.Scan("t", CardSchema());
+  RelStats l_est = est.Scan(Sym("t"), CardSchema());
+  RelStats l_tru = tru.Scan(Sym("t"), CardSchema());
   // est: |L||R| / max(ndv). true: L * fanout.
-  RelStats j_est = est.Join(l_est, l_est, "k", "k", 2.0);
-  RelStats j_tru = tru.Join(l_tru, l_tru, "k", "k", 2.0);
+  RelStats j_est = est.Join(l_est, l_est, Sym("k"), Sym("k"), 2.0);
+  RelStats j_tru = tru.Join(l_tru, l_tru, Sym("k"), Sym("k"), 2.0);
   EXPECT_NEAR(j_est.rows, 5000.0 * 5000.0 / 80.0, 1e-6);
   EXPECT_NEAR(j_tru.rows, 10000.0 * 2.0, 1e-6);
 }
@@ -176,8 +176,8 @@ TEST(CardinalityTest, JoinEstimateVsTrueFanout) {
 TEST(CardinalityTest, AggregateGroupsCappedByRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
-  RelStats agg = est.Aggregate(in, {"k"}, {});
+  RelStats in = est.Scan(Sym("t"), CardSchema());
+  RelStats agg = est.Aggregate(in, {Sym("k")}, {});
   EXPECT_NEAR(agg.rows, 80.0, 1e-9);  // ndv(k)
   RelStats global = est.Aggregate(in, std::vector<qo::Symbol>{}, {});
   EXPECT_DOUBLE_EQ(global.rows, 1.0);
@@ -186,17 +186,17 @@ TEST(CardinalityTest, AggregateGroupsCappedByRows) {
 TEST(CardinalityTest, PartialAggregateBoundedByGroupsTimesPartitions) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
-  RelStats partial = est.PartialAggregate(in, {"k"}, 10);
+  RelStats in = est.Scan(Sym("t"), CardSchema());
+  RelStats partial = est.PartialAggregate(in, {Sym("k")}, 10);
   EXPECT_NEAR(partial.rows, 800.0, 1e-9);  // 80 groups x 10 partitions
-  RelStats one_part = est.PartialAggregate(in, {"k"}, 1);
+  RelStats one_part = est.PartialAggregate(in, {Sym("k")}, 1);
   EXPECT_NEAR(one_part.rows, 80.0, 1e-9);
 }
 
 TEST(CardinalityTest, UnionAddsRows) {
   scope::Catalog catalog = CardCatalog();
   StatsDeriver est(catalog, StatsMode::kEstimated);
-  RelStats in = est.Scan("t", CardSchema());
+  RelStats in = est.Scan(Sym("t"), CardSchema());
   EXPECT_DOUBLE_EQ(est.UnionAll(in, in).rows, 10000.0);
 }
 
@@ -490,7 +490,7 @@ TEST(OptimizerPlanTest, TrueRowsUseAnnotationsNotEstimates) {
   ASSERT_TRUE(out.ok());
   // The scan of "fact" must carry est 6e7-ish and true 5e7-ish rows.
   for (const auto& node : out->plan.nodes) {
-    if (node.kind == PhysOpKind::kScan && node.table_path == "fact" &&
+    if (node.kind == PhysOpKind::kScan && SymName(node.table_path) == "fact" &&
         node.predicates.empty()) {
       EXPECT_DOUBLE_EQ(node.est_rows, 6e7);
       EXPECT_DOUBLE_EQ(node.true_rows, 5e7);
@@ -517,30 +517,30 @@ std::string NodeDetails(const PhysicalPlan& plan) {
     out += num;
   };
   for (const PhysicalNode& n : plan.nodes) {
-    for (const scope::Predicate& p : n.predicates) {
+    for (const scope::BoundPredicate& p : n.predicates) {
       out += p.ToString();
       add(p.true_selectivity);
     }
     out += '|';
-    for (const scope::SelectItem& s : n.projections) {
+    for (const scope::BoundSelectItem& s : n.projections) {
       out += s.ToString();
       out += ',';
     }
     out += '|';
-    for (const std::string& g : n.group_by) {
-      out += g;
+    for (Symbol g : n.group_by) {
+      out += SymName(g);
       out += ',';
     }
     out += '|';
-    out += n.output_path;
+    out += SymName(n.output_path);
     out += '|';
     for (double v : {n.true_fanout, n.est_bytes, n.true_rows, n.true_bytes,
                      n.local_cost}) {
       add(v);
     }
     if (n.schema != nullptr) {
-      for (const scope::Column& c : n.schema->columns) {
-        out += c.name;
+      for (const scope::BoundColumn& c : n.schema->columns) {
+        out += SymName(c.name);
         out += ',';
       }
     }

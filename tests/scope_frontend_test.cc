@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 
 #include "common/symbol_table.h"
 #include "scope/catalog.h"
@@ -209,8 +210,8 @@ TEST(CompilerTest, SchemaDerivation) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   const LogicalNode& out = plan->node(plan->roots[0]);
   ASSERT_EQ(out.schema.size(), 2u);
-  EXPECT_EQ(out.schema.columns[0].name, "b");
-  EXPECT_EQ(out.schema.columns[1].name, "total");
+  EXPECT_EQ(SymName(out.schema.columns[0].name), "b");
+  EXPECT_EQ(SymName(out.schema.columns[1].name), "total");
   EXPECT_EQ(out.schema.columns[1].type, ColumnType::kDouble);
 }
 
@@ -225,6 +226,30 @@ TEST(CompilerTest, JoinSchemaConcatenatesBothSides) {
   ASSERT_TRUE(plan.ok());
   const LogicalNode& out = plan->node(plan->roots[0]);
   EXPECT_EQ(out.schema.size(), 4u);
+}
+
+// Literals are values, not names: a script that differs from an earlier one
+// only in a filter literal interns nothing.
+TEST(CompilerTest, FilterLiteralsAreNotInterned) {
+  const Catalog catalog = TestCatalog();
+  auto script = [](const std::string& literal) {
+    return "rs = EXTRACT a:int, b:string FROM \"p\";\n"
+           "f = SELECT a FROM rs WHERE a > " +
+           literal + ";\nOUTPUT f TO \"literal_probe_out\";\n";
+  };
+  ASSERT_TRUE(CompileSource(script("1.25"), catalog).ok());
+  const size_t before = SymbolTable::Global().size();
+  auto plan = CompileSource(script("731.004217"), catalog);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  EXPECT_EQ(SymbolTable::Global().size(), before);
+  EXPECT_EQ(SymbolTable::Global().Find("731.004217"), kNoSymbol);
+  bool found = false;
+  for (const LogicalNode& n : plan->nodes) {
+    for (const BoundPredicate& p : n.predicates) {
+      found = found || p.literal == "731.004217";
+    }
+  }
+  EXPECT_TRUE(found) << plan->ToString();
 }
 
 struct CompileErrorCase {
@@ -310,6 +335,30 @@ TEST(CatalogTest, ProbesOfUnseenNamesNeverGrowTheSymbolTable) {
   ASSERT_FALSE(plan.ok());
   EXPECT_EQ(plan.status().code(), StatusCode::kCompileError);
   EXPECT_EQ(SymbolTable::Global().size(), before);
+  // A registered path whose script references a column that was never
+  // interned, in WHERE, in a JOIN and in GROUP BY: the binder resolves
+  // references with SymbolTable::Find, so each is rejected as before and
+  // interns nothing.
+  const std::string extract =
+      "rs = EXTRACT a:int, b:string FROM \"p\";\n"
+      "rs2 = EXTRACT a:int, b:string FROM \"q\";\n";
+  const std::pair<const char*, const char*> unseen_references[] = {
+      {"f = SELECT * FROM rs WHERE catalog_probe_where > 3;\n",
+       "predicate column 'catalog_probe_where' not found at line 3"},
+      {"j = SELECT * FROM rs JOIN rs2 ON catalog_probe_join == a;\n",
+       "join key 'catalog_probe_join' not found on left side at line 3"},
+      {"g = SELECT COUNT(*) AS n FROM rs GROUP BY catalog_probe_group;\n",
+       "GROUP BY column 'catalog_probe_group' not found at line 3"},
+  };
+  for (const auto& [statement, message] : unseen_references) {
+    auto rejected = CompileSource(
+        extract + statement + "OUTPUT rs TO \"catalog_probe_out\";", catalog);
+    ASSERT_FALSE(rejected.ok()) << statement;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kCompileError);
+    EXPECT_NE(rejected.status().message().find(message), std::string::npos)
+        << rejected.status();
+    EXPECT_EQ(SymbolTable::Global().size(), before) << statement;
+  }
   // Registered names still resolve through the string overloads.
   EXPECT_TRUE(catalog.Has("p"));
   EXPECT_EQ(catalog.LookupColumn("p", "b").true_ndv, 10);
