@@ -6,13 +6,14 @@
 // without executing a single extra job.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "core/feature_gen.h"
 #include "core/recommend.h"
 #include "experiments/experiments.h"
 
 int main() {
   using namespace qo;  // NOLINT
-  experiments::ExperimentEnv env;
+  experiments::ExperimentEnv env(benchutil::HarnessConfigFromEnv());
   bandit::PersonalizerService personalizer(
       {.epsilon = 0.1, .seed = 2022, .retrain_interval = 256});
   advisor::RecommenderConfig config;

@@ -4,6 +4,7 @@
 // the short-horizon episodic approach the paper proposes to explore next.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/stats.h"
 #include "core/multi_flip.h"
 #include "core/span.h"
@@ -11,7 +12,7 @@
 
 int main() {
   using namespace qo;  // NOLINT
-  experiments::ExperimentEnv env;
+  experiments::ExperimentEnv env(benchutil::HarnessConfigFromEnv());
   struct Arm {
     int horizon = 0;
     size_t improved = 0;

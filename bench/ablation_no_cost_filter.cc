@@ -3,10 +3,11 @@
 // without the filters the pipeline could not finish flighting in 3 days.
 #include <cstdio>
 
+#include "bench_util.h"
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunCostFilterAblation(env);
   std::printf("== Ablation: flighting without estimated-cost filters ==\n");
   std::printf("%-32s %12s %12s\n", "", "with filter", "no filter");

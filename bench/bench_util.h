@@ -10,8 +10,27 @@
 
 #include "common/stats.h"
 #include "common/table_printer.h"
+#include "experiments/experiments.h"
+#include "service/advisor_options.h"
 
 namespace qo::benchutil {
+
+/// `config` with the harness knobs of one AdvisorOptions snapshot: its
+/// thread count and its guard config (QO_GUARD + QO_FAULT_*), which the
+/// harness's fault injector and RunAggregateImpact's pipeline share.
+inline experiments::ExperimentConfig HarnessConfig(
+    const service::AdvisorOptions& options,
+    experiments::ExperimentConfig config = {}) {
+  config.threads = options.runtime.num_threads;
+  config.guard = options.guard;
+  return config;
+}
+
+/// The default harness under the environment's knobs, so
+/// `QO_THREADS=4 ./fig10_...` parallelizes and `QO_GUARD=1` arms the guard.
+inline experiments::ExperimentConfig HarnessConfigFromEnv() {
+  return HarnessConfig(service::AdvisorOptions::FromEnv());
+}
 
 /// Prints a scatter series as decile rows (x-sorted), the way the paper's
 /// figures read left-to-right.

@@ -7,7 +7,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunRecurringStability(
       env, qo::experiments::Metric::kLatency);
   std::printf("== Figure 2: recurring job stability (latency) ==\n");

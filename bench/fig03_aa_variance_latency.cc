@@ -6,7 +6,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result =
       qo::experiments::RunAAVariance(env, qo::experiments::Metric::kLatency);
   std::printf("== Figure 3: A/A variance of latency (10 runs/job) ==\n");

@@ -6,7 +6,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunRecurringStability(
       env, qo::experiments::Metric::kPnHours);
   std::printf("== Figure 4: recurring job stability (PNhours) ==\n");

@@ -6,7 +6,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result =
       qo::experiments::RunAAVariance(env, qo::experiments::Metric::kPnHours);
   std::printf("== Figure 5: A/A variance of PNhours (10 runs/job) ==\n");

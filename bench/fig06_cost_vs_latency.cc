@@ -7,7 +7,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunCostVsLatency(env, /*days=*/5);
   std::printf("== Figure 6: estimated cost delta vs latency delta ==\n");
   qo::benchutil::PrintScatterDeciles("est cost delta", "latency delta",

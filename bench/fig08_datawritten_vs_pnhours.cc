@@ -7,7 +7,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunIoVsPn(
       env, qo::experiments::IoMetric::kDataWritten);
   std::printf("== Figure 8: DataWritten delta vs PNhours delta ==\n");

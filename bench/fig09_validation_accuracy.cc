@@ -8,7 +8,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunValidationAccuracy(env);
   std::printf("== Figure 9: validation model accuracy ==\n");
   qo::benchutil::PrintScatterDeciles("predicted PNhours delta",

@@ -6,7 +6,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunAggregateImpact(env);
   std::printf("== Figure 10: PNhours delta drill-down ==\n");
   qo::benchutil::PrintDeltaSeries("PNhours", result.pn_deltas);

@@ -7,7 +7,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunAggregateImpact(env);
   std::printf("== Figure 11: latency delta drill-down ==\n");
   qo::benchutil::PrintDeltaSeries("latency", result.latency_deltas);

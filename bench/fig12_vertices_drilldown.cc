@@ -6,7 +6,7 @@
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunAggregateImpact(env);
   std::printf("== Figure 12: vertices delta drill-down ==\n");
   qo::benchutil::PrintDeltaSeries("vertices", result.vertices_deltas);

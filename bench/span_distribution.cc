@@ -5,13 +5,14 @@
 // non-empty spans (~66% in the paper, Sec. 5.6).
 #include <cstdio>
 
+#include "bench_util.h"
 #include "common/stats.h"
 #include "core/span.h"
 #include "experiments/experiments.h"
 
 int main() {
   using namespace qo;  // NOLINT
-  experiments::ExperimentEnv env;
+  experiments::ExperimentEnv env(benchutil::HarnessConfigFromEnv());
   std::vector<double> sizes;
   size_t empty = 0, total = 0, failures = 0;
   RunningStats iterations;

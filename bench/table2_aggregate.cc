@@ -2,11 +2,12 @@
 // jobs. Paper: PNhours -14.3%, latency -8.9%, vertices -52.8% over 70 jobs.
 #include <iostream>
 
+#include "bench_util.h"
 #include "common/table_printer.h"
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunAggregateImpact(env);
   std::cout << "== Table 2: aggregate pre-production results ==\n";
   std::cout << "active hints: " << result.active_hints

@@ -4,11 +4,12 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench_util.h"
 #include "common/table_printer.h"
 #include "experiments/experiments.h"
 
 int main() {
-  qo::experiments::ExperimentEnv env;
+  qo::experiments::ExperimentEnv env(qo::benchutil::HarnessConfigFromEnv());
   auto result = qo::experiments::RunRandomVsCb(env);
   std::cout << "== Table 3: random vs contextual-bandit rule flips ==\n";
   std::printf("jobs with non-empty span: %zu of %zu (%.0f%%; paper: ~66%%)\n",

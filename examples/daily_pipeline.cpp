@@ -27,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "bench_util.h"
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
@@ -40,8 +41,8 @@ int main(int argc, char** argv) {
   // from these captured values.
   service::AdvisorOptions options = service::AdvisorOptions::FromEnv();
 
-  experiments::ExperimentEnv env(
-      {.num_templates = 60, .jobs_per_day = 100, .seed = 7});
+  experiments::ExperimentEnv env(benchutil::HarnessConfig(
+      options, {.num_templates = 60, .jobs_per_day = 100, .seed = 7}));
 
   service::AdvisorService advisor(options);
   service::TenantConfig tenant;

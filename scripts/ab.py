@@ -4,8 +4,9 @@
     python3 scripts/ab.py <parent-ref> --workload offline --seeds 2022,7 \\
         --pairs 10 --seconds 15 [--trace]
 
-Builds a Release qobench for <parent-ref> (from a `git worktree` under
-.bench_build/ab/, reused while it sits at the same commit) and one for the
+Builds a Release qobench for <parent-ref> (exported with `git archive` into
+.bench_build/ab/src-<sha>, reused on later runs; nothing is registered in
+.git) and one for the
 working tree, each by the `build()` of that checkout's own
 bench/qobench/run.py, as the benchmark builds it; then runs `qobench --workload W --seed S --seconds X` for both
 in alternating order, `--pairs` times per seed (the first build to run
@@ -72,15 +73,14 @@ def build_qobench(source):
 
 
 def parent_source(ref):
-    """A worktree of `ref` under .bench_build/ab/, created or reused."""
+    """`ref`'s tree under .bench_build/ab/, exported or reused."""
     sha = git("rev-parse", "--verify", ref + "^{commit}")
     path = os.path.join(AB_DIR, "src-" + sha[:12])
-    if not os.path.exists(path):
-        os.makedirs(AB_DIR, exist_ok=True)
-        git("worktree", "add", "--detach", path, sha)
-    elif git("rev-parse", "HEAD", cwd=path) != sha:
-        sys.exit("ab.py: %s is not at %s; remove it (git worktree remove)"
-                 % (path, sha))
+    if not os.path.exists(os.path.join(path, "CMakeLists.txt")):
+        os.makedirs(path, exist_ok=True)
+        archive = subprocess.run(["git", "archive", sha], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", path], input=archive, check=True)
     return sha, path
 
 

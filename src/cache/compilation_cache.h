@@ -28,13 +28,8 @@
 // (reclaimer.h) frees it on a background thread. A caller still holding a result keeps
 // it alive through its shared_ptr. Entries are immutable
 // shared_ptr<const ...>, so results are byte-identical to a fresh compile
-// (tests compare against one) at any thread count and capacity.
-//
-// Env knobs (read by CompileCacheOptions::FromEnv, the ScopeEngine default;
-// zero, signed or out-of-range values keep the defaults):
-//   QO_COMPILE_CACHE_CAPACITY=N   front-end entry bound
-//   QO_COMPILE_CACHE_SHARDS=N     shard count (the cache clamps it to
-//                                 [1, capacity])
+// (tests compare against one) at any thread count and capacity. The cache
+// is sized by CompileCacheOptions alone; no environment knob reaches it.
 #ifndef QO_CACHE_COMPILATION_CACHE_H_
 #define QO_CACHE_COMPILATION_CACHE_H_
 
@@ -86,11 +81,8 @@ using FrontEndCache =
 struct CompileCacheOptions {
   /// Front-end entry bound (one entry serves every config of a job).
   size_t capacity = 4096;
+  /// Shard count; the cache clamps it to [1, capacity].
   int num_shards = 16;
-
-  /// Reads the QO_COMPILE_CACHE_* environment knobs documented above;
-  /// unset variables keep the defaults.
-  static CompileCacheOptions FromEnv();
 };
 
 }  // namespace qo::cache

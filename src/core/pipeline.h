@@ -46,10 +46,10 @@ struct PipelineConfig {
   /// Deterministic: any num_threads produces byte-identical day reports,
   /// SIS uploads and learning state.
   runtime::RuntimeOptions runtime;
-  /// Guardrails + chaos fault injection. Defaults read QO_GUARD and the
-  /// QO_FAULT_* knobs; with those unset everything here is inert and the
-  /// pipeline behaves bit-for-bit as before.
-  guard::GuardConfig guard = guard::GuardConfig::FromEnv();
+  /// Guardrails + chaos fault injection. The default is inert and the
+  /// pipeline behaves bit-for-bit as without the guard layer; QO_GUARD and
+  /// the QO_FAULT_* knobs arrive through service::AdvisorOptions.
+  guard::GuardConfig guard;
 };
 
 /// Per-day pipeline telemetry.

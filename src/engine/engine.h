@@ -61,8 +61,7 @@ class ScopeEngine {
   explicit ScopeEngine(
       opt::OptimizerOptions optimizer_options = {},
       exec::ClusterConfig cluster_config = {},
-      cache::CompileCacheOptions cache_options =
-          cache::CompileCacheOptions::FromEnv());
+      cache::CompileCacheOptions cache_options = {});
   /// Deregisters the engine's registry collector and waits until every
   /// entry it evicted has been freed.
   ~ScopeEngine();

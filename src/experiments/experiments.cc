@@ -7,6 +7,7 @@
 
 #include "core/feature_gen.h"
 #include "core/recommend.h"
+#include "guard/fault_injector.h"
 #include "obs/report.h"
 #include "obs/span.h"
 
@@ -43,12 +44,6 @@ std::vector<JobFeatures> DayFeatures(
     advisor::JobFilter filter = advisor::JobFilter::kRecurringOnly) {
   return advisor::GenerateFeatures(env.engine(), env.BuildDayView(day),
                                    nullptr, env.runtime(), filter);
-}
-
-runtime::RuntimeOptions HarnessRuntimeOptions(const ExperimentConfig& config) {
-  runtime::RuntimeOptions options = runtime::RuntimeOptions::FromEnv();
-  if (config.threads > 0) options.num_threads = config.threads;
-  return options;
 }
 
 /// A recommender wired to a throwaway personalizer, for experiments that
@@ -92,8 +87,8 @@ ExperimentEnv::ExperimentEnv(ExperimentConfig config)
       driver_({.num_templates = config.num_templates,
                .jobs_per_day = config.jobs_per_day,
                .seed = config.seed}),
-      runtime_(HarnessRuntimeOptions(config)),
-      injector_(config.faults) {}
+      engine_({}, {}, config.cache),
+      runtime_({.num_threads = config.threads}) {}
 
 ExperimentEnv::~ExperimentEnv() {
   // Emitted here rather than at process exit: the engine's collector is
@@ -117,6 +112,7 @@ telemetry::WorkloadView ExperimentEnv::BuildDayView(
   // Each commit moves its job into the view row: work(i) is done with it by
   // then, and the shard and priority callbacks ran at submission.
   std::vector<workload::JobInstance> jobs = driver_.DayJobs(day);
+  const guard::FaultInjector injector(config_.guard.faults);
   runtime::ForEachOrdered<Result<engine::JobRunResult>>(
       &runtime_, jobs.size(),
       [&](size_t i) { return static_cast<uint64_t>(jobs[i].template_id); },
@@ -131,9 +127,9 @@ telemetry::WorkloadView ExperimentEnv::BuildDayView(
         // Injected steered-compile failure: the hinted configuration fails
         // on this occurrence, SCOPE falls back to the default plan. Pure per
         // (day, job), so the atomic total is thread-count-independent.
-        if (hinted && injector_.armed() &&
-            injector_.ShouldInject(guard::FaultSite::kCompile, day,
-                                   job.job_id)) {
+        if (hinted && injector.armed() &&
+            injector.ShouldInject(guard::FaultSite::kCompile, day,
+                                  job.job_id)) {
           config = opt::RuleConfig::Default();
           steered_fallbacks_.fetch_add(1, std::memory_order_relaxed);
         }
@@ -152,12 +148,12 @@ telemetry::WorkloadView ExperimentEnv::BuildDayView(
         // Injected hint regression: sticky per template (day-independent
         // key), modeling a hint that is genuinely bad in production — every
         // steered occurrence runs inflated until the watchdog reverts it.
-        if (sis != nullptr && injector_.armed() &&
+        if (sis != nullptr && injector.armed() &&
             sis->LookupHint(jobs[i].template_name).has_value() &&
-            injector_.ShouldInject(guard::FaultSite::kHintRegression,
-                                   /*day=*/0, jobs[i].template_name)) {
-          metrics.pn_hours *= injector_.config().hint_regression_factor;
-          metrics.latency_sec *= injector_.config().hint_regression_factor;
+            injector.ShouldInject(guard::FaultSite::kHintRegression,
+                                  /*day=*/0, jobs[i].template_name)) {
+          metrics.pn_hours *= injector.config().hint_regression_factor;
+          metrics.latency_sec *= injector.config().hint_regression_factor;
           ++regressions_injected_;
         }
         view.rows.push_back(telemetry::MakeViewRow(
@@ -435,6 +431,7 @@ AggregateImpactResult RunAggregateImpact(const ExperimentEnv& env,
   pipeline_config.recommender.uniform_probes_per_job = 3;
   pipeline_config.personalizer.retrain_interval = 128;
   pipeline_config.personalizer.epsilon = 0.15;
+  pipeline_config.guard = env.config().guard;
   // Borrow the harness's pool instead of spawning a second one.
   advisor::QoAdvisorPipeline pipeline(&env.engine(), &sis, pipeline_config,
                                       env.runtime());

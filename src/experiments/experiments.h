@@ -14,7 +14,7 @@
 #include "core/pipeline.h"
 #include "engine/engine.h"
 #include "flighting/flighting.h"
-#include "guard/fault_injector.h"
+#include "guard/guardrail.h"
 #include "runtime/runtime.h"
 #include "sis/sis.h"
 #include "telemetry/workload_view.h"
@@ -27,15 +27,17 @@ struct ExperimentConfig {
   int jobs_per_day = 150;
   uint64_t seed = 2022;
   int aa_runs = 10;  ///< paper Sec. 5.1 runs each job 10 times
-  /// Worker threads for the experiment harness and any pipeline it drives.
-  /// 0 reads QO_THREADS from the environment (the bench binaries' knob);
-  /// 1 forces serial. Results are byte-identical for every value.
-  int threads = 0;
-  /// Chaos faults for the production-day simulation: injected steered-run
-  /// compile failures (falling back to the default config, as SCOPE does)
-  /// and sticky hinted regressions (the watchdog's prey). Defaults read the
-  /// QO_FAULT_* knobs; with those unset this is inert.
-  guard::FaultConfig faults = guard::FaultConfig::FromEnv();
+  /// Worker threads for the experiment harness and any pipeline it drives;
+  /// <= 1 is serial. Results are byte-identical for every value.
+  int threads = 1;
+  /// Guardrails + chaos faults, one copy for the whole harness. `faults`
+  /// drives the production-day simulation: injected steered-run compile
+  /// failures (falling back to the default config, as SCOPE does) and
+  /// sticky hinted regressions (the watchdog's prey). RunAggregateImpact
+  /// hands the same config to its pipeline. The default is inert.
+  guard::GuardConfig guard{};
+  /// Sizes the harness engine's front-end cache.
+  cache::CompileCacheOptions cache{};
 };
 
 /// Shared environment: workload + engine + helpers to execute a day and
@@ -74,7 +76,6 @@ class ExperimentEnv {
   telemetry::WorkloadView BuildDayView(
       int day, const sis::StatsInsightService* sis = nullptr) const;
 
-  const guard::FaultInjector& fault_injector() const { return injector_; }
   /// Steered production runs that fell back to the default configuration
   /// because of an injected compile failure (cumulative across days).
   uint64_t steered_fallbacks() const { return steered_fallbacks_; }
@@ -87,7 +88,6 @@ class ExperimentEnv {
   workload::WorkloadDriver driver_;
   engine::ScopeEngine engine_;
   mutable runtime::ParallelRuntime runtime_;
-  guard::FaultInjector injector_;
   /// Atomic: bumped from the parallel run lambda, but the total is
   /// deterministic because every injection decision is pure.
   mutable std::atomic<uint64_t> steered_fallbacks_{0};

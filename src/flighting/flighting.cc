@@ -10,13 +10,6 @@ namespace qo::flight {
 
 namespace {
 
-/// A provisional (speculative) flight: `ran` records whether engine time was
-/// actually burned — and therefore reserved against the budget gate.
-struct Provisional {
-  FlightResult result;
-  bool ran = false;
-};
-
 FlightResult BudgetRejected(const std::string& job_id) {
   FlightResult r;
   r.outcome = FlightOutcome::kBudgetRejected;
@@ -165,50 +158,30 @@ std::vector<FlightResult> FlightingService::FlightBatch(
 
   // Worker side: speculative flights. Committed budget is monotone within a
   // batch, so once the gate is exhausted the in-order commit below is
-  // certain to reject this request — skip the engine work entirely. Engine
-  // hours burned speculatively are held as a reservation until settled.
-  auto work = [&](size_t i) -> Provisional {
-    Provisional p;
-    if (gate_.Exhausted()) {
-      p.result = BudgetRejected(requests[i].job.job_id);
-      return p;
-    }
-    p.result = RunFlight(requests[i], run_salt + i);
-    if (p.result.outcome == FlightOutcome::kSuccess ||
-        p.result.outcome == FlightOutcome::kTimeout) {
-      p.ran = true;
-      gate_.Reserve(p.result.machine_hours);
-    }
-    return p;
+  // certain to reject this request — skip the engine work entirely.
+  auto work = [&](size_t i) -> FlightResult {
+    if (gate_.Exhausted()) return BudgetRejected(requests[i].job.job_id);
+    return RunFlight(requests[i], run_salt + i);
   };
 
   // Commit side (calling thread, strict submission order): budget admission.
   // Mirrors FlightOne's ordering — budget pre-check first, then
   // environmental outcomes (which spend nothing), then strict admission of
   // the actual hours so committed spend never exceeds the cap.
-  auto commit = [&](size_t i, Provisional&& p) {
-    if (gate_.Exhausted()) {
-      if (p.ran) gate_.Refund(p.result.machine_hours);
+  auto commit = [&](size_t i, FlightResult&& result) {
+    const bool spends = result.outcome == FlightOutcome::kSuccess ||
+                        result.outcome == FlightOutcome::kTimeout;
+    if (gate_.Exhausted() ||
+        (spends && !gate_.TrySpend(result.machine_hours))) {
       results.push_back(BudgetRejected(requests[i].job.job_id));
       CountOutcome(FlightOutcome::kBudgetRejected);
       return;
     }
-    if (!p.ran) {  // environmental failure or filtered: refunded up front
-      CountOutcome(p.result.outcome, p.result.fault_injected);
-      results.push_back(std::move(p.result));
-      return;
-    }
-    if (!gate_.CommitReserved(p.result.machine_hours)) {
-      // Admitting this flight would overspend the budget.
-      results.push_back(BudgetRejected(requests[i].job.job_id));
-      CountOutcome(FlightOutcome::kBudgetRejected);
-      return;
-    }
-    CountOutcome(p.result.outcome, p.result.fault_injected);
-    results.push_back(std::move(p.result));
+    CountOutcome(result.outcome, result.fault_injected);
+    results.push_back(std::move(result));
   };
 
-  runtime::ForEachOrdered<Provisional>(
+  runtime::ForEachOrdered<FlightResult>(
       runtime_, n,
       [&](size_t i) {
         return static_cast<uint64_t>(requests[i].job.template_id);

@@ -130,7 +130,6 @@ class FlightingService {
   void ResetBudget() { gate_.Reset(); }
 
   const FlightingConfig& config() const { return config_; }
-  const runtime::BudgetGate& budget_gate() const { return gate_; }
 
  private:
   /// The pure flight computation: environmental draws + both engine arms,
@@ -140,8 +139,8 @@ class FlightingService {
                          uint64_t run_salt) const;
 
   /// Counts a committed outcome. Called at the serial commit points
-  /// (FlightOne / the batch commit), so speculative flights refunded by
-  /// budget admission are never counted.
+  /// (FlightOne / the batch commit), so speculative flights that budget
+  /// admission rejects are never counted.
   static void CountOutcome(FlightOutcome outcome, bool fault_injected = false);
 
   const engine::ScopeEngine* engine_;

@@ -1,21 +1,10 @@
 #include "guard/fault_injector.h"
 
-#include <cstdlib>
-
 #include "common/hash.h"
 
 namespace qo::guard {
 
 namespace {
-
-double EnvProb(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  double v = std::strtod(raw, &end);
-  if (end == raw || v < 0.0) return fallback;
-  return v > 1.0 ? 1.0 : v;
-}
 
 /// hash(seed, site, day, key) -> uniform double in [0, 1).
 double UniformDraw(uint64_t seed, FaultSite site, int day, uint64_t key) {
@@ -46,26 +35,6 @@ const char* FaultSiteToString(FaultSite site) {
       return "hint_regression";
   }
   return "unknown";
-}
-
-FaultConfig FaultConfig::FromEnv() {
-  FaultConfig config;
-  if (const char* raw = std::getenv("QO_FAULT_SEED")) {
-    config.seed = std::strtoull(raw, nullptr, 10);
-  }
-  config.compile_error_prob = EnvProb("QO_FAULT_COMPILE", 0.0);
-  config.flight_failure_prob = EnvProb("QO_FAULT_FLIGHT_FAILURE", 0.0);
-  config.flight_timeout_prob = EnvProb("QO_FAULT_FLIGHT_TIMEOUT", 0.0);
-  config.hint_corrupt_prob = EnvProb("QO_FAULT_HINT_CORRUPT", 0.0);
-  config.reward_drop_prob = EnvProb("QO_FAULT_REWARD_DROP", 0.0);
-  config.telemetry_drop_prob = EnvProb("QO_FAULT_TELEMETRY_DROP", 0.0);
-  config.hint_regression_prob = EnvProb("QO_FAULT_HINT_REGRESSION", 0.0);
-  if (const char* raw = std::getenv("QO_FAULT_HINT_REGRESSION_FACTOR")) {
-    char* end = nullptr;
-    double v = std::strtod(raw, &end);
-    if (end != raw && v >= 1.0) config.hint_regression_factor = v;
-  }
-  return config;
 }
 
 double FaultInjector::SiteProb(FaultSite site) const {

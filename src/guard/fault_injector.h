@@ -34,7 +34,8 @@ enum class FaultSite : uint32_t {
 
 const char* FaultSiteToString(FaultSite site);
 
-/// Per-site injection probabilities. All default to 0 (off).
+/// Per-site injection probabilities. All default to 0 (off); the QO_FAULT_*
+/// knobs reach them through service::AdvisorOptions::FromEnv.
 struct FaultConfig {
   uint64_t seed = 0;
   double compile_error_prob = 0.0;
@@ -58,12 +59,6 @@ struct FaultConfig {
            reward_drop_prob > 0.0 || telemetry_drop_prob > 0.0 ||
            hint_regression_prob > 0.0;
   }
-
-  /// Reads QO_FAULT_SEED, QO_FAULT_COMPILE, QO_FAULT_FLIGHT_FAILURE,
-  /// QO_FAULT_FLIGHT_TIMEOUT, QO_FAULT_HINT_CORRUPT, QO_FAULT_REWARD_DROP,
-  /// QO_FAULT_TELEMETRY_DROP, QO_FAULT_HINT_REGRESSION and
-  /// QO_FAULT_HINT_REGRESSION_FACTOR. Unset knobs keep the defaults above.
-  static FaultConfig FromEnv();
 };
 
 /// Stateless decision oracle: subsystems ask it whether a given fault fires

@@ -1,7 +1,6 @@
 #include "guard/guardrail.h"
 
 #include <cstdio>
-#include <cstdlib>
 
 namespace qo::guard {
 
@@ -125,14 +124,6 @@ bool CircuitBreaker::CloseDay(int day) {
   }
   if (events > 0) open_ = false;
   return false;
-}
-
-GuardConfig GuardConfig::FromEnv() {
-  GuardConfig config;
-  const char* raw = std::getenv("QO_GUARD");
-  config.enabled = raw != nullptr && raw[0] == '1' && raw[1] == '\0';
-  config.faults = FaultConfig::FromEnv();
-  return config;
 }
 
 bool SteeringGuard::TemplateAllowed(const std::string& template_name,

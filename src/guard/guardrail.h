@@ -149,7 +149,8 @@ class CircuitBreaker {
 
 /// Pipeline-facing guardrail configuration. Disabled by default so the
 /// existing pipelines and figure benches are bit-for-bit unaffected; the
-/// chaos tests and the daily_pipeline demo turn it on.
+/// chaos tests and the daily_pipeline demo turn it on. QO_GUARD and the
+/// QO_FAULT_* knobs reach it only through service::AdvisorOptions::FromEnv.
 struct GuardConfig {
   /// Master switch for watchdog + breakers + flight retry.
   bool enabled = false;
@@ -167,9 +168,6 @@ struct GuardConfig {
   /// Graceful degradation: re-flight transient flight failures up to this
   /// many times (deterministic fresh salts) before giving up on the day.
   int flight_max_retries = 2;
-
-  /// enabled <- QO_GUARD=1, faults <- FaultConfig::FromEnv().
-  static GuardConfig FromEnv();
 };
 
 /// The pipeline's guardrail bundle: watchdog + breakers.

@@ -1,7 +1,5 @@
 #include "runtime/budget_gate.h"
 
-#include <algorithm>
-
 namespace qo::runtime {
 
 double BudgetGate::committed() const {
@@ -9,42 +7,9 @@ double BudgetGate::committed() const {
   return committed_;
 }
 
-double BudgetGate::reserved() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return reserved_;
-}
-
 bool BudgetGate::Admissible() const {
   std::lock_guard<std::mutex> lock(mu_);
   return committed_ < capacity_;
-}
-
-void BudgetGate::Reserve(double hours) {
-  std::lock_guard<std::mutex> lock(mu_);
-  reserved_ += hours;
-  ++outstanding_reservations_;
-}
-
-void BudgetGate::ReleaseReservationLocked(double hours) {
-  reserved_ = std::max(0.0, reserved_ - hours);
-  if (outstanding_reservations_ > 0) --outstanding_reservations_;
-  // Float addition is not associative: reservations settled in a
-  // timing-dependent order can cancel to ~1e-17 dust instead of zero. With
-  // nothing outstanding the true value IS zero, so snap to it.
-  if (outstanding_reservations_ == 0) reserved_ = 0.0;
-}
-
-void BudgetGate::Refund(double hours) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ReleaseReservationLocked(hours);
-}
-
-bool BudgetGate::CommitReserved(double hours) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ReleaseReservationLocked(hours);
-  if (committed_ + hours > capacity_) return false;
-  committed_ += hours;
-  return true;
 }
 
 bool BudgetGate::TrySpend(double hours) {
@@ -62,8 +27,6 @@ void BudgetGate::Spend(double hours) {
 void BudgetGate::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
   committed_ = 0.0;
-  reserved_ = 0.0;
-  outstanding_reservations_ = 0;
 }
 
 }  // namespace qo::runtime

@@ -1,7 +1,6 @@
 #include "runtime/runtime.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace qo::runtime {
 
@@ -9,20 +8,8 @@ namespace {
 thread_local bool t_in_worker = false;
 }  // namespace
 
-RuntimeOptions RuntimeOptions::FromEnv() {
-  RuntimeOptions options;
-  if (const char* env = std::getenv("QO_THREADS")) {
-    int threads = std::atoi(env);
-    if (threads >= 1) options.num_threads = threads;
-  }
-  return options;
-}
-
 ParallelRuntime::ParallelRuntime(RuntimeOptions options)
-    : options_(options),
-      queue_(options.num_shards > 0
-                 ? options.num_shards
-                 : std::max(16, 4 * options.num_threads)) {
+    : options_(options), queue_(std::max(16, 4 * options.num_threads)) {
   if (options_.num_threads > 1) {
     workers_.reserve(static_cast<size_t>(options_.num_threads));
     for (int i = 0; i < options_.num_threads; ++i) {

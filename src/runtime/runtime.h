@@ -32,16 +32,11 @@ namespace qo::runtime {
 
 struct RuntimeOptions {
   /// Worker threads in the pool. <= 1 runs every task inline on the calling
-  /// thread (no threads are spawned).
+  /// thread (no threads are spawned). The work queue gets
+  /// max(16, 4 * num_threads) shards; tasks sharing a shard key (modulo that
+  /// count) never run concurrently. QO_THREADS reaches this field through
+  /// service::AdvisorOptions::FromEnv.
   int num_threads = 1;
-  /// Work-queue shards; 0 picks max(16, 4 * num_threads). Tasks sharing a
-  /// shard key (modulo this count) never run concurrently.
-  int num_shards = 0;
-
-  /// Reads QO_THREADS from the environment (default: 1 = serial). Benches
-  /// and the experiment harness use this so `QO_THREADS=4 ./fig10_...`
-  /// parallelizes without a flag plumbed through every layer.
-  static RuntimeOptions FromEnv();
 };
 
 /// Fixed-size thread pool + sharded work queue + ordered commit.

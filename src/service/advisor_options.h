@@ -1,27 +1,32 @@
 // One aggregate for every environment knob the advisor stack's subsystems
 // are built from.
 //
-// Before the service layer, the option structs each read the environment at
-// their own construction time (RuntimeOptions/CompileCacheOptions/
-// GuardConfig via FromEnv defaults). A long-running process could therefore
-// observe *different* env values per subsystem depending on construction
-// order. AdvisorOptions fixes the inconsistency: FromEnv() snapshots every
-// knob exactly once, and the AdvisorService threads the captured values
-// explicitly into each subsystem it builds — nothing downstream of the
-// service re-reads the environment.
+// FromEnv() is the only reader of these knobs: every option struct below
+// (and every PipelineConfig, ExperimentConfig and ScopeEngine default) is a
+// plain value that reads nothing. A process snapshots the environment once
+// and threads the captured values explicitly into each subsystem it builds,
+// so all of them see the same configuration whatever their construction
+// order.
 //
-// Knob map (reader -> field):
-//   QO_THREADS                 -> runtime.num_threads
-//   QO_COMPILE_CACHE_CAPACITY / _SHARDS -> compile_cache.{capacity,num_shards}
-//   QO_GUARD + QO_FAULT_*      -> guard.{enabled,faults}
-//   QO_SERVICE_RETRAIN_MS      -> retrain_period_ms
+// Knob map (reader -> field). Unset, empty and malformed values keep the
+// defaults:
+//   QO_THREADS                 -> runtime.num_threads (values < 1 keep 1)
+//   QO_GUARD                   -> guard.enabled (exactly "1")
+//   QO_FAULT_SEED              -> guard.faults.seed
+//   QO_FAULT_COMPILE, _FLIGHT_FAILURE, _FLIGHT_TIMEOUT, _HINT_CORRUPT,
+//   _REWARD_DROP, _TELEMETRY_DROP, _HINT_REGRESSION
+//                              -> guard.faults.*_prob (negative and
+//                                 non-finite values keep 0; above 1 clamps)
+//   QO_FAULT_HINT_REGRESSION_FACTOR
+//                              -> guard.faults.hint_regression_factor
+//                                 (finite and >= 1)
+//   QO_SERVICE_RETRAIN_MS      -> retrain_period_ms (negative -> 0)
 // The observability knobs (QO_METRICS, QO_OBS_*, QO_TRACE, QO_SIMD) are
 // observational, not service configuration: src/obs/ and the kernel
 // dispatch read each of them once, in one place.
 #ifndef QO_SERVICE_ADVISOR_OPTIONS_H_
 #define QO_SERVICE_ADVISOR_OPTIONS_H_
 
-#include "cache/compilation_cache.h"
 #include "guard/guardrail.h"
 #include "runtime/runtime.h"
 
@@ -32,7 +37,6 @@ namespace qo::service {
 /// of each subsystem — constructing AdvisorOptions{} performs no env reads.
 struct AdvisorOptions {
   runtime::RuntimeOptions runtime;
-  cache::CompileCacheOptions compile_cache;
   /// Guardrails + fault injection. Default-inert (enabled=false, no fault
   /// probabilities), matching GuardConfig{}.
   guard::GuardConfig guard;

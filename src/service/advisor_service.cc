@@ -34,15 +34,12 @@ uint64_t ServiceSnapshot::Fingerprint(const ServiceSnapshot& snap) {
 }
 
 AdvisorService::TenantState::TenantState(std::string tenant_name,
-                                         TenantConfig cfg,
-                                         const AdvisorOptions& options)
+                                         TenantConfig cfg)
     : name(std::move(tenant_name)),
       config(WithRetrainOwnership(std::move(cfg))),
       owned_engine(config.engine != nullptr
                        ? nullptr
-                       : std::make_unique<engine::ScopeEngine>(
-                             opt::OptimizerOptions{}, exec::ClusterConfig{},
-                             options.compile_cache)),
+                       : std::make_unique<engine::ScopeEngine>()),
       engine(config.engine != nullptr ? config.engine : owned_engine.get()),
       sis(config.sis),
       personalizer(config.personalizer) {}
@@ -80,7 +77,7 @@ Result<TenantSession> AdvisorService::OpenTenant(const std::string& tenant,
     return Status::AlreadyExists("tenant already open: " + tenant);
   }
   it->second =
-      std::make_unique<TenantState>(tenant, std::move(config), options_);
+      std::make_unique<TenantState>(tenant, std::move(config));
   TenantState& t = *it->second;
   // Sequence 1: cold model, empty hint view. Published before the tenant is
   // visible to any API call, so readers never observe a null snapshot.
@@ -301,8 +298,8 @@ Result<advisor::PipelineDayReport> AdvisorService::RunPipelineDay(
   std::lock_guard<std::mutex> lock(t->mu);
   if (t->pipeline == nullptr) {
     advisor::PipelineConfig config = t->config.pipeline;
-    // The service is the single env-snapshot authority: thread the captured
-    // options in, overriding whatever the PipelineConfig defaults read.
+    // The service's options are the tenant pipeline's runtime and guard:
+    // one snapshot configures every tenant alike.
     config.runtime = options_.runtime;
     config.guard = options_.guard;
     t->pipeline = std::make_unique<advisor::QoAdvisorPipeline>(

@@ -93,8 +93,8 @@ struct TenantConfig {
   bandit::PersonalizerConfig personalizer;
   sis::SisConfig sis;
   /// Borrow an existing engine (e.g. the experiment harness's, so hints
-  /// steer the same cache production runs hit) instead of owning one built
-  /// from AdvisorOptions. The borrowed engine must outlive the service.
+  /// steer the same cache production runs hit) instead of owning a
+  /// default one. The borrowed engine must outlive the service.
   const engine::ScopeEngine* engine = nullptr;
   /// When true (default) the service owns retrain cadence: the learner's
   /// inline retrain-on-interval is disabled and models only advance through
@@ -103,8 +103,8 @@ struct TenantConfig {
   /// tenants, where RunPipelineDay drives the learner serially).
   bool service_owns_retrain = true;
   /// Config for the tenant's offline daily pipeline (RunPipelineDay).
-  /// runtime/guard are overridden from AdvisorOptions — the service is the
-  /// single env-snapshot authority. The personalizer field is ignored: the
+  /// runtime/guard are overridden from the service's AdvisorOptions. The
+  /// personalizer field is ignored: the
   /// pipeline borrows the tenant's learner.
   advisor::PipelineConfig pipeline;
 };
@@ -287,8 +287,7 @@ class AdvisorService : public AdvisorApi {
     uint64_t publications = 0;      ///< == last published sequence
     uint64_t model_generation = 0;  ///< retrains folded into the learner
 
-    TenantState(std::string tenant_name, TenantConfig cfg,
-                const AdvisorOptions& options);
+    TenantState(std::string tenant_name, TenantConfig cfg);
   };
 
   TenantState* FindTenant(const std::string& tenant) const;

@@ -7,7 +7,6 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <future>
 #include <limits>
 #include <map>
@@ -112,6 +111,21 @@ TEST(ShardedLruTest, CapacityBoundHoldsAcrossShards) {
   // Per-shard slices round up, so allow one extra entry per shard.
   EXPECT_LE(c.size(), kCapacity + c.num_shards());
   EXPECT_GE(c.stats().evictions, 10000u - kCapacity - c.num_shards());
+}
+
+TEST(ShardedLruTest, ShardCountClampsAndHugeCapacityDoesNotWrap) {
+  // More shards than entries: clamped to the capacity, so a 10^8-shard
+  // request allocates 8 shards and the bound still holds.
+  IntCache clamped(/*capacity=*/8, /*num_shards=*/100000000);
+  EXPECT_EQ(clamped.num_shards(), 8u);
+  for (int i = 0; i < 1000; ++i) clamped.Insert(i, i);
+  EXPECT_EQ(clamped.size(), 8u);
+  // The per-shard slice of a huge capacity must not overflow into a tiny
+  // cache (the old ceiling division wrapped around at ULLONG_MAX).
+  IntCache huge(std::numeric_limits<size_t>::max(), /*num_shards=*/16);
+  for (int i = 0; i < 1000; ++i) huge.Insert(i, i);
+  EXPECT_EQ(huge.size(), 1000u);
+  EXPECT_EQ(huge.stats().evictions, 0u);
 }
 
 TEST(ShardedLruTest, InsertRaceKeepsFirstValue) {
@@ -317,82 +331,6 @@ TEST(FingerprintTest, OptionsFingerprintSeparatesEngines) {
             cache::OptimizerOptionsFingerprint(opt::OptimizerOptions{}));
 }
 
-/// Saves the QO_COMPILE_CACHE_* environment on entry and restores it on
-/// exit, so this test cannot leak its values into later tests in the binary.
-class EnvGuard {
- public:
-  EnvGuard() {
-    for (const char* name : kNames) {
-      const char* v = getenv(name);
-      saved_.emplace_back(name, v == nullptr ? std::string()
-                                             : std::string(v));
-      if (v == nullptr) saved_.back().second = kUnset;
-    }
-  }
-  ~EnvGuard() {
-    for (const auto& [name, value] : saved_) {
-      if (value == kUnset) {
-        unsetenv(name);
-      } else {
-        setenv(name, value.c_str(), 1);
-      }
-    }
-  }
-
- private:
-  static constexpr const char* kUnset = "\x01unset";
-  static constexpr const char* kNames[] = {"QO_COMPILE_CACHE_CAPACITY",
-                                           "QO_COMPILE_CACHE_SHARDS"};
-  std::vector<std::pair<const char*, std::string>> saved_;
-};
-
-TEST(FingerprintTest, EnvKnobsParseAndDegrade) {
-  EnvGuard guard;
-  setenv("QO_COMPILE_CACHE_CAPACITY", "128", 1);
-  setenv("QO_COMPILE_CACHE_SHARDS", "4", 1);
-  cache::CompileCacheOptions sized = cache::CompileCacheOptions::FromEnv();
-  EXPECT_EQ(sized.capacity, 128u);
-  EXPECT_EQ(sized.num_shards, 4);
-  engine::ScopeEngine engine({}, {}, sized);
-  EXPECT_EQ(Series("cache.front_end.capacity"), 128.0);
-
-  setenv("QO_COMPILE_CACHE_CAPACITY", "not-a-number", 1);
-  cache::CompileCacheOptions fallback = cache::CompileCacheOptions::FromEnv();
-  EXPECT_EQ(fallback.capacity, cache::CompileCacheOptions{}.capacity);
-  EXPECT_EQ(fallback.capacity, 4096u);
-
-  // strtoull reads "-1" as ULLONG_MAX; signed, zero and out-of-range values
-  // all fall back to the defaults.
-  for (const char* bad : {"-1", "0", "+8", " 8", "99999999999999999999999"}) {
-    setenv("QO_COMPILE_CACHE_CAPACITY", bad, 1);
-    setenv("QO_COMPILE_CACHE_SHARDS", bad, 1);
-    const cache::CompileCacheOptions o = cache::CompileCacheOptions::FromEnv();
-    EXPECT_EQ(o.capacity, 4096u) << bad;
-    EXPECT_EQ(o.num_shards, 16) << bad;
-  }
-  // Above INT_MAX: a valid capacity, and a shard count that saturates.
-  setenv("QO_COMPILE_CACHE_CAPACITY", "3000000000", 1);
-  setenv("QO_COMPILE_CACHE_SHARDS", "3000000000", 1);
-  const cache::CompileCacheOptions big = cache::CompileCacheOptions::FromEnv();
-  EXPECT_EQ(big.capacity, 3000000000u);
-  EXPECT_EQ(big.num_shards, std::numeric_limits<int>::max());
-  // More shards than entries: clamped to the capacity, so a 10^8-shard
-  // request allocates 8 shards and the bound still holds.
-  setenv("QO_COMPILE_CACHE_CAPACITY", "8", 1);
-  setenv("QO_COMPILE_CACHE_SHARDS", "100000000", 1);
-  const cache::CompileCacheOptions wide = cache::CompileCacheOptions::FromEnv();
-  IntCache clamped(wide.capacity, wide.num_shards);
-  EXPECT_EQ(clamped.num_shards(), 8u);
-  for (int i = 0; i < 1000; ++i) clamped.Insert(i, i);
-  EXPECT_EQ(clamped.size(), 8u);
-  // The per-shard slice of a huge capacity must not overflow into a tiny
-  // cache (the old ceiling division wrapped around at ULLONG_MAX).
-  IntCache huge(std::numeric_limits<size_t>::max(), 16);
-  for (int i = 0; i < 1000; ++i) huge.Insert(i, i);
-  EXPECT_EQ(huge.size(), 1000u);
-  EXPECT_EQ(huge.stats().evictions, 0u);
-}
-
 std::vector<workload::JobInstance> Jobs(int templates = 12, int jobs = 24) {
   workload::WorkloadDriver driver(
       {.num_templates = templates, .jobs_per_day = jobs, .seed = 404});
@@ -577,6 +515,7 @@ TEST(CompilationCacheTest, LruBoundHoldsUnderWorkloadChurn) {
   options.capacity = 8;
   options.num_shards = 2;
   engine::ScopeEngine engine({}, {}, options);
+  EXPECT_EQ(Series("cache.front_end.capacity"), 8.0);
   for (const auto& job : Jobs(16, 64)) {
     auto out = engine.CompileShared(job, opt::RuleConfig::Default());
     (void)out;
@@ -764,11 +703,13 @@ struct MiniFig10Output {
   double front_end_evictions = 0;
 };
 
-MiniFig10Output RunMiniFig10(int threads) {
+MiniFig10Output RunMiniFig10(int threads,
+                             cache::CompileCacheOptions cache_options = {}) {
   experiments::ExperimentEnv env({.num_templates = 24,
                                   .jobs_per_day = 48,
                                   .seed = 31,
-                                  .threads = threads});
+                                  .threads = threads,
+                                  .cache = cache_options});
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
   config.flighting.total_budget_machine_hours = 1e6;
@@ -835,11 +776,9 @@ TEST(CompilationCacheTest, MiniFig10CompileWorkIsPinned) {
 // earlier tests in the process interned. "bandit.combines" is 0 because the
 // pipeline hands the personalizer precombined features.
 TEST(CompilationCacheTest, MiniFig10WorkWithEvictionsIsPinned) {
-  EnvGuard guard;
-  setenv("QO_COMPILE_CACHE_CAPACITY", "32", 1);
-  setenv("QO_COMPILE_CACHE_SHARDS", "1", 1);
   obs::Registry::Get().ZeroAllForTest();
-  const MiniFig10Output out = RunMiniFig10(/*threads=*/1);
+  const MiniFig10Output out =
+      RunMiniFig10(/*threads=*/1, {.capacity = 32, .num_shards = 1});
   EXPECT_EQ(out.front_end_misses, 551.0);
   EXPECT_EQ(out.front_end_evictions, 519.0);
   const std::map<std::string, double> pinned = {

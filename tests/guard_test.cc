@@ -374,7 +374,8 @@ ChaosRunOutput RunChaosPipeline(int threads, int days) {
                                         .jobs_per_day = 48,
                                         .seed = 31,
                                         .threads = threads};
-  econfig.faults = ChaosFaults();
+  econfig.guard.enabled = true;
+  econfig.guard.faults = ChaosFaults();
   experiments::ExperimentEnv env(econfig);
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
@@ -383,8 +384,7 @@ ChaosRunOutput RunChaosPipeline(int threads, int days) {
   config.recommender.uniform_probes_per_job = 3;
   config.personalizer.epsilon = 0.2;
   config.runtime.num_threads = threads;
-  config.guard.enabled = true;
-  config.guard.faults = ChaosFaults();
+  config.guard = env.config().guard;
   advisor::QoAdvisorPipeline pipeline(&env.engine(), &sis, config);
   ChaosRunOutput out;
   for (int day = 0; day < days; ++day) {
@@ -441,9 +441,10 @@ TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
   // Every hinted template regresses hard in production; nothing else fails.
   // The factor must overwhelm the hint's genuine improvement (validated
   // flips often halve PNhours here) plus the 25% watchdog threshold.
-  econfig.faults.seed = 7;
-  econfig.faults.hint_regression_prob = 1.0;
-  econfig.faults.hint_regression_factor = 6.0;
+  econfig.guard.enabled = true;
+  econfig.guard.faults.seed = 7;
+  econfig.guard.faults.hint_regression_prob = 1.0;
+  econfig.guard.faults.hint_regression_factor = 6.0;
   experiments::ExperimentEnv env(econfig);
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
@@ -452,7 +453,7 @@ TEST(GuardPipelineTest, RegressingHintIsAutoRevertedAndQuarantined) {
   config.recommender.uniform_probes_per_job = 3;
   config.personalizer.epsilon = 0.2;
   config.runtime.num_threads = 2;
-  config.guard.enabled = true;
+  config.guard = env.config().guard;
   advisor::QoAdvisorPipeline pipeline(&env.engine(), &sis, config);
 
   size_t total_reverted = 0;
@@ -493,8 +494,9 @@ TEST(GuardPipelineTest, FlightChaosDoesNotMakeSteeringHarmful) {
                                         .jobs_per_day = 60,
                                         .seed = 11,
                                         .threads = 2};
-  econfig.faults.seed = 23;
-  econfig.faults.flight_failure_prob = 0.10;
+  econfig.guard.enabled = true;
+  econfig.guard.faults.seed = 23;
+  econfig.guard.faults.flight_failure_prob = 0.10;
   experiments::ExperimentEnv env(econfig);
   sis::StatsInsightService sis;
   advisor::PipelineConfig config;
@@ -503,8 +505,7 @@ TEST(GuardPipelineTest, FlightChaosDoesNotMakeSteeringHarmful) {
   config.recommender.uniform_probes_per_job = 3;
   config.personalizer.epsilon = 0.2;
   config.runtime.num_threads = 2;
-  config.guard.enabled = true;
-  config.guard.faults = econfig.faults;
+  config.guard = env.config().guard;
   advisor::QoAdvisorPipeline pipeline(&env.engine(), &sis, config);
   size_t retries = 0, recovered = 0, faults = 0, hints = 0;
   for (int day = 0; day < 14; ++day) {

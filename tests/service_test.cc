@@ -14,8 +14,10 @@
 #include <cstring>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "engine/engine.h"
 #include "experiments/experiments.h"
 #include "obs/metrics.h"
 #include "optimizer/rules.h"
@@ -52,12 +54,103 @@ class ScopedEnv {
   bool had_old_ = false;
 };
 
+// Only AdvisorOptions::FromEnv reads the service knobs: every other option
+// default is a plain value, whatever the environment says.
 TEST(AdvisorOptionsTest, DefaultsReadNothingFromEnv) {
   ScopedEnv threads("QO_THREADS", "9");
+  ScopedEnv guard_on("QO_GUARD", "1");
+  ScopedEnv compile_faults("QO_FAULT_COMPILE", "1");
+  ScopedEnv capacity("QO_COMPILE_CACHE_CAPACITY", "8");
   AdvisorOptions options = AdvisorOptions::Defaults();
   EXPECT_EQ(options.runtime.num_threads, 1);
   EXPECT_EQ(options.retrain_period_ms, 0);
   EXPECT_FALSE(options.guard.enabled);
+  EXPECT_FALSE(options.guard.faults.armed());
+
+  const advisor::PipelineConfig pipeline;
+  EXPECT_EQ(pipeline.runtime.num_threads, 1);
+  EXPECT_FALSE(pipeline.guard.enabled);
+  EXPECT_FALSE(pipeline.guard.faults.armed());
+
+  const experiments::ExperimentConfig harness;
+  EXPECT_EQ(harness.threads, 1);
+  EXPECT_FALSE(harness.guard.enabled);
+  EXPECT_FALSE(harness.guard.faults.armed());
+  EXPECT_EQ(harness.cache.capacity, 4096u);
+
+  const engine::ScopeEngine engine;
+  EXPECT_EQ(obs::Registry::Get().Snapshot().SeriesValue(
+                "cache.front_end.capacity"),
+            4096.0);
+}
+
+// Each knob's acceptance rule: unset, empty, malformed, out-of-range and
+// non-finite values keep the default. Parse only; no pool is built.
+TEST(AdvisorOptionsTest, FromEnvParsesEachKnob) {
+  using Field = double (*)(const AdvisorOptions&);
+  struct Case {
+    const char* knob;
+    const char* value;
+    Field field;
+    double expected;
+  };
+  const Field guard_on = [](const AdvisorOptions& o) {
+    return o.guard.enabled ? 1.0 : 0.0;
+  };
+  const Field factor = [](const AdvisorOptions& o) {
+    return o.guard.faults.hint_regression_factor;
+  };
+  const Field threads = [](const AdvisorOptions& o) {
+    return static_cast<double>(o.runtime.num_threads);
+  };
+  std::vector<Case> cases = {
+      {"QO_GUARD", "1", guard_on, 1.0},
+      {"QO_GUARD", "true", guard_on, 0.0},
+      {"QO_GUARD", "10", guard_on, 0.0},
+      {"QO_GUARD", "", guard_on, 0.0},
+      {"QO_FAULT_HINT_REGRESSION_FACTOR", "0.5", factor, 1.5},
+      {"QO_FAULT_HINT_REGRESSION_FACTOR", "6", factor, 6.0},
+      {"QO_FAULT_HINT_REGRESSION_FACTOR", "inf", factor, 1.5},
+      {"QO_THREADS", "0", threads, 1.0},
+      {"QO_THREADS", "-3", threads, 1.0},
+      {"QO_THREADS", "4", threads, 4.0},
+  };
+  const std::pair<const char*, Field> probabilities[] = {
+      {"QO_FAULT_COMPILE",
+       [](const AdvisorOptions& o) { return o.guard.faults.compile_error_prob; }},
+      {"QO_FAULT_FLIGHT_FAILURE",
+       [](const AdvisorOptions& o) {
+         return o.guard.faults.flight_failure_prob;
+       }},
+      {"QO_FAULT_FLIGHT_TIMEOUT",
+       [](const AdvisorOptions& o) {
+         return o.guard.faults.flight_timeout_prob;
+       }},
+      {"QO_FAULT_HINT_CORRUPT",
+       [](const AdvisorOptions& o) { return o.guard.faults.hint_corrupt_prob; }},
+      {"QO_FAULT_REWARD_DROP",
+       [](const AdvisorOptions& o) { return o.guard.faults.reward_drop_prob; }},
+      {"QO_FAULT_TELEMETRY_DROP",
+       [](const AdvisorOptions& o) {
+         return o.guard.faults.telemetry_drop_prob;
+       }},
+      {"QO_FAULT_HINT_REGRESSION",
+       [](const AdvisorOptions& o) {
+         return o.guard.faults.hint_regression_prob;
+       }},
+  };
+  for (const auto& [knob, field] : probabilities) {
+    for (const auto& [value, expected] :
+         {std::pair<const char*, double>{"0.3", 0.3}, {"-1", 0.0}, {"7", 1.0},
+          {"nan", 0.0}, {"inf", 0.0}, {"abc", 0.0}}) {
+      cases.push_back({knob, value, field, expected});
+    }
+  }
+  for (const Case& c : cases) {
+    ScopedEnv env(c.knob, c.value);
+    EXPECT_EQ(c.field(AdvisorOptions::FromEnv()), c.expected)
+        << c.knob << "=" << c.value;
+  }
 }
 
 TEST(AdvisorOptionsTest, FromEnvSnapshotsOnce) {
